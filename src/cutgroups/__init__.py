@@ -26,14 +26,11 @@ from .errors import (
 from .perm import (
     Permutation,
     compose,
-    conjugate,
-    element_order,
     format_permutation,
-    inverse,
     parse_permutation,
     power,
 )
-from .group import DEFAULT_CAP, PermGroup, build_group, elements, group_order, contains
+from .group import DEFAULT_CAP, PermGroup
 from .structure import (
     ClassTable,
     Subgroup,
@@ -46,7 +43,6 @@ from .structure import (
     is_solvable,
     normalizer,
     p_core,
-    power_class,
     sylow,
 )
 from .alternating import (

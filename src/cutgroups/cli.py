@@ -29,27 +29,20 @@ from .corpus import (
 from .errors import CapExceeded, CorpusError, CutgroupsError
 from .group import DEFAULT_CAP, PermGroup
 from .perm import format_permutation
-from .rationality import (
-    SUITE_CHECKS,
-    conjecture_suite,
-    group_rationality,
-    lemma61_check,
-    qg_degree_alternating,
-    sylow3_check,
-)
+from .rationality import CHECKS, group_rationality, qg_degree_alternating
 from .constructions import parse_family_spec
 
 AN_FIELDS_MAX = 14
 
 
-def _cap_argument(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        cap = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cap must be an integer, got {text!r}")
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"cap must be >= 1, got {cap}")
-    return cap
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _checks_argument(text: str) -> tuple[str, ...]:
@@ -73,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = analyze.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", help="family spec, e.g. cyclic:6 or sylnorm:5")
     source.add_argument("--file", help="corpus file containing exactly one group")
-    analyze.add_argument("--cap", type=_cap_argument, default=DEFAULT_CAP)
+    analyze.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     analyze.add_argument("--checks", type=_checks_argument, default=ALL_CHECKS)
     analyze.add_argument("--format", choices=["json", "csv", "text"], default="text")
     analyze.add_argument("--out", help="output path (default stdout)")
@@ -81,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     survey = sub.add_parser("survey", help="batch-analyze a corpus file")
     survey.add_argument("--corpus", required=True)
-    survey.add_argument("--cap", type=_cap_argument, default=DEFAULT_CAP)
+    survey.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     survey.add_argument("--checks", type=_checks_argument, default=ALL_CHECKS)
     survey.add_argument("--format", choices=["json", "csv", "text"], default="text")
     survey.add_argument("--out", help="output path (default stdout)")
-    survey.add_argument("--workers", type=int, default=1)
+    survey.add_argument("--workers", type=_positive_int, default=1)
     survey.set_defaults(func=cmd_survey)
 
     construct = sub.add_parser(
@@ -175,16 +168,7 @@ def cmd_analyze(args) -> int:
     except (CutgroupsError, OSError) as e:
         return _fail(str(e), 2)
     try:
-        report = group_rationality(G, args.cap)
-        suite_wanted = [c for c in args.checks if c in SUITE_CHECKS]
-        if suite_wanted:
-            suite = conjecture_suite(G, args.cap)
-            for name in suite_wanted:
-                report.check_results[name] = suite[name]
-        if "sylow3" in args.checks:
-            report.check_results["sylow3"] = sylow3_check(G, args.cap)
-        if "lemma61" in args.checks:
-            report.check_results["lemma61"] = lemma61_check(G, args.cap)
+        report = group_rationality(G, args.cap, [c for c in args.checks if c in CHECKS])
     except CapExceeded as e:
         return _fail(str(e), 3)
     report_dict = report.as_dict()

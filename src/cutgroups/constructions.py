@@ -10,11 +10,9 @@ the degree at p**k.
 from __future__ import annotations
 
 from .errors import BadParam, DegreeTooLarge
-from .group import PermGroup
+from .group import MAX_DEGREE, PermGroup
 from .perm import Permutation
 from .structure import is_prime
-
-MAX_WREATH_DEGREE = 10 ** 6
 
 
 def cyclic(n: int) -> PermGroup:
@@ -125,7 +123,7 @@ def wreath(A: PermGroup, B: PermGroup) -> PermGroup:
     """
     m, n = A.degree, B.degree
     degree = m * n
-    if degree > MAX_WREATH_DEGREE:
+    if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"wreath product degree {degree} too large")
 
     # orbits of B on the block indices
@@ -207,8 +205,8 @@ def iterated_wreath(p: int, k: int) -> PermGroup:
     """Tower W_1 = sylnorm(p), W_(i+1) = sylnorm(p) wr W_i, of degree p**k."""
     if k < 1:
         raise BadParam(f"iterated wreath depth must be >= 1, got {k}")
-    if p ** k > MAX_WREATH_DEGREE:
-        raise DegreeTooLarge(f"degree {p}**{k} exceeds {MAX_WREATH_DEGREE}")
+    if p ** k > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {p}**{k} exceeds {MAX_DEGREE}")
     W = sylnorm(p)
     base = sylnorm(p)
     for _ in range(k - 1):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,19 +32,13 @@ from .errors import (
     DuplicateId,
     OrderMismatch,
 )
-from .group import DEFAULT_CAP, PermGroup
+from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
 from .perm import parse_permutation
-from .rationality import (
-    SUITE_CHECKS,
-    conjecture_suite,
-    group_rationality,
-    lemma61_check,
-    sylow3_check,
-)
+from .rationality import CHECKS, group_rationality
 from .structure import sylow
 
-EXTRA_CHECKS = ("sylow3", "lemma61", "syl2")
-ALL_CHECKS = SUITE_CHECKS + EXTRA_CHECKS
+# syl2 is informational: it fills the row's sylow2_cut, not a check result.
+ALL_CHECKS = tuple(CHECKS) + ("syl2",)
 
 
 @dataclass
@@ -73,6 +68,8 @@ class SurveyConfig:
         unknown = [c for c in self.checks if c not in ALL_CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -159,8 +156,10 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
     if not gen_lines:
         raise CorpusSyntaxError(start, f"record {current['id']!r} has no generators")
     degree = current["degree"]
-    if degree < 1:
-        raise CorpusSyntaxError(start, f"degree must be positive, got {degree}")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise CorpusSyntaxError(
+            start, f"degree must be in 1..{MAX_DEGREE}, got {degree}"
+        )
     gens = []
     for line_no, text in gen_lines:
         try:
@@ -194,23 +193,12 @@ def _analyze_payload(payload: dict) -> dict:
     gens = [parse_permutation(t, degree) for t in payload["gens"]]
     G = PermGroup(degree, gens)
     try:
-        report = group_rationality(G, cap)
+        report = group_rationality(G, cap, [c for c in checks if c in CHECKS])
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
-    check_results = {}
-    suite_wanted = [c for c in checks if c in SUITE_CHECKS]
-    if suite_wanted:
-        suite = conjecture_suite(G, cap)
-        for name in suite_wanted:
-            check_results[name] = suite[name].as_dict()
-    if "sylow3" in checks:
-        check_results["sylow3"] = sylow3_check(G, cap).as_dict()
-    if "lemma61" in checks:
-        check_results["lemma61"] = lemma61_check(G, cap).as_dict()
     sylow2_cut = None
     if "syl2" in checks and report.is_cut:
-        P2 = sylow(G, 2, cap)
-        sylow2_cut = group_rationality(P2.as_group, cap).is_cut
+        sylow2_cut = group_rationality(sylow(G, 2, cap).as_group, cap).is_cut
     return {
         "id": rid,
         "row": {
@@ -221,7 +209,7 @@ def _analyze_payload(payload: dict) -> dict:
             "cut": report.is_cut,
             "semirational": report.is_semirational,
             "qg_degree": report.qg_degree,
-            "checks": check_results,
+            "checks": {n: r.as_dict() for n, r in report.check_results.items()},
             "sylow2_cut": sylow2_cut,
         },
     }
@@ -246,8 +234,10 @@ def run_survey(
         }
         for r in ordered
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a pool starts all its workers up front: no more than can run or have work
+    workers = min(config.workers, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_analyze_payload, payloads))
     else:
         outcomes = [_analyze_payload(p) for p in payloads]

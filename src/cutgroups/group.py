@@ -10,12 +10,14 @@ class indexing relies on.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from .perm import Permutation, compose
 
 DEFAULT_CAP = 100_000
+# Largest degree of a constructed family or a corpus record.
+MAX_DEGREE = 10 ** 6
 
 
 class _ChainLevel:
@@ -193,22 +195,6 @@ class PermGroup:
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""
         return self._chain_root().base_points()
-
-
-def build_group(degree: int, gens: Iterable[Permutation]) -> PermGroup:
-    return PermGroup(degree, list(gens))
-
-
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def contains(G: PermGroup, p: Permutation) -> bool:
-    return G.contains(p)
-
-
-def elements(G: PermGroup, cap: int = DEFAULT_CAP) -> list[Permutation]:
-    return G.elements(cap)
 
 
 def trivial_group(degree: int) -> PermGroup:

@@ -168,10 +168,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(qi[x] for x in p.images))
 
 
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
 def power(p: Permutation, k: int) -> Permutation:
     """p**k by exponent reduction mod the element order, then
     square-and-multiply; k may be zero or negative."""
@@ -184,10 +180,6 @@ def power(p: Permutation, k: int) -> Permutation:
         base = compose(base, base)
         k >>= 1
     return result
-
-
-def element_order(p: Permutation) -> int:
-    return p.order()
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -233,11 +225,6 @@ def format_permutation(p: Permutation) -> str:
     return "".join(
         "(" + " ".join(str(point + 1) for point in cycle) + ")" for cycle in cycles
     )
-
-
-def conjugate(x: Permutation, g: Permutation) -> Permutation:
-    """g⁻¹ · x · g (x conjugated by g, right action)."""
-    return x.conjugate_by(g)
 
 
 def commutator(a: Permutation, b: Permutation) -> Permutation:

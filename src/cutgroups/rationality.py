@@ -16,20 +16,23 @@ is likewise the index of the global stabilizer in the units mod exp(G).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
 from .errors import BoundExceeded
 from .group import DEFAULT_CAP, PermGroup
 from .structure import (
     ClassTable,
+    Subgroup,
     abelianization_exponent_divides,
     class_conjugators,
     conjugacy_classes,
+    core_of,
     exponent,
     is_elementary_abelian,
     is_solvable,
-    p_core,
     prime_divisors,
     sylow,
 )
@@ -142,46 +145,91 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
     )
 
 
-def _solvable_cached(G: PermGroup) -> bool:
-    cached = getattr(G, "_solvable", None)
-    if cached is None:
-        cached = is_solvable(G)
-        G._solvable = cached
-    return cached
+class Analysis:
+    """Everything the report and the checks ask about one group, each fact
+    computed at most once: the class table, the per-class verdicts,
+    solvability, the character-field degree, and per prime the Sylow
+    subgroup, its own Analysis and the p-core.
+
+    One Analysis serves one group_rationality call and is never shared
+    between threads (survey workers are processes), so it takes no lock.
+    """
+
+    def __init__(self, G: PermGroup, cap: int = DEFAULT_CAP):
+        self.G = G
+        self.cap = cap
+        self._per_prime: dict[tuple[str, int], object] = {}
+
+    def _once(self, key: tuple[str, int], compute: Callable[[], object]):
+        if key not in self._per_prime:
+            self._per_prime[key] = compute()
+        return self._per_prime[key]
+
+    @cached_property
+    def table(self) -> ClassTable:
+        return conjugacy_classes(self.G, self.cap)
+
+    @cached_property
+    def classes(self) -> list[ClassRationality]:
+        return [classify_class(self.table, c) for c in range(len(self.table))]
+
+    @cached_property
+    def qg_degree(self) -> int:
+        """Index of the global power-map stabilizer in the units mod exp(G)."""
+        table = self.table
+        units = residues_coprime(math.lcm(*table.rep_orders))
+        fixed = [
+            k
+            for k in units
+            if all(table.power_class(c, k) == c for c in range(len(table)))
+        ]
+        return len(units) // len(fixed)
+
+    @cached_property
+    def report(self) -> GroupReport:
+        """The group-level verdicts, with no checks run."""
+        classes = self.classes
+        return GroupReport(
+            order=self.G.order(),
+            solvable=is_solvable(self.G),
+            is_rational=all(r.is_rational for r in classes),
+            is_cut=all(r.is_inverse_semirational for r in classes),
+            is_semirational=all(r.is_semirational for r in classes),
+            qg_degree=self.qg_degree,
+            class_reports=classes,
+        )
+
+    def sylow(self, p: int) -> Subgroup:
+        return self._once(("sylow", p), lambda: sylow(self.G, p, self.cap))
+
+    def sylow_analysis(self, p: int) -> Analysis:
+        return self._once(
+            ("analysis", p), lambda: Analysis(self.sylow(p).as_group, self.cap)
+        )
+
+    def p_core(self, p: int) -> Subgroup:
+        return self._once(
+            ("p_core", p), lambda: core_of(self.G, self.sylow(p), self.table, self.cap)
+        )
+
+    def run(self, checks: Iterable[str]) -> dict[str, CheckResult]:
+        """Results of the named CHECKS, in the order given."""
+        return {name: CHECKS[name](self) for name in checks}
 
 
-def _qg_degree_from_table(table: ClassTable) -> int:
-    n = 1
-    for o in table.rep_orders:
-        n = math.lcm(n, o)
-    units = residues_coprime(n)
-    fixed = [
-        k
-        for k in units
-        if all(table.power_class(c, k) == c for c in range(len(table)))
-    ]
-    return len(units) // len(fixed)
-
-
-def group_rationality(G: PermGroup, cap: int = DEFAULT_CAP) -> GroupReport:
-    """Classify every class and aggregate the group-level verdicts."""
-    table = conjugacy_classes(G, cap)
-    reports = [classify_class(table, c) for c in range(len(table))]
-    return GroupReport(
-        order=G.order(),
-        solvable=_solvable_cached(G),
-        is_rational=all(r.is_rational for r in reports),
-        is_cut=all(r.is_inverse_semirational for r in reports),
-        is_semirational=all(r.is_semirational for r in reports),
-        qg_degree=_qg_degree_from_table(table),
-        class_reports=reports,
-    )
+def group_rationality(
+    G: PermGroup, cap: int = DEFAULT_CAP, checks: Iterable[str] = ()
+) -> GroupReport:
+    """Classify every class, aggregate the group-level verdicts, and fill in
+    the named checks from CHECKS in the order given."""
+    analysis = Analysis(G, cap)
+    return replace(analysis.report, check_results=analysis.run(checks))
 
 
 def qg_degree(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Degree of the field generated by all character-table entries, via the
     index of the global power-map stabilizer in the units mod exp(G)."""
-    return _qg_degree_from_table(conjugacy_classes(G, cap))
+    return Analysis(G, cap).qg_degree
 
 
 def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,18 +292,100 @@ def _is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
-def sylow3_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
-    """Is the Sylow 3-subgroup of a cut group itself cut?
+# Each check maps an Analysis to a PASS/FAIL/SKIP result.  Registration
+# order is the default check order of analyze and survey.
+CHECKS: dict[str, Callable[[Analysis], CheckResult]] = {}
 
-    A FAIL is a potential counterexample to an open question and carries the
-    witness subgroup's generators.
-    """
-    report = group_rationality(G, cap)
-    if not report.is_cut:
-        return CheckResult(SKIP, "group is not cut")
-    P = sylow(G, 3, cap)
-    sub_report = group_rationality(P.as_group, cap)
-    if sub_report.is_cut:
+# The words a check's hypothesis is written in, as tests of the report.
+_HYPOTHESES = {
+    "nontrivial": lambda r: r.order > 1,
+    "solvable": lambda r: r.solvable,
+    "rational": lambda r: r.is_rational,
+    "cut": lambda r: r.is_cut,
+}
+
+
+def _check(name: str, *hypothesis: str, unmet: str = ""):
+    """Register a check's conclusion under its hypothesis, given in words
+    of _HYPOTHESES; a group that misses it gets SKIP with the detail
+    ``unmet``, by default "needs a <hypothesis> group"."""
+    unmet = unmet or f"needs a {' '.join(hypothesis)} group"
+
+    def register(conclusion: Callable[[Analysis], CheckResult]):
+        def check(a: Analysis) -> CheckResult:
+            if not all(_HYPOTHESES[word](a.report) for word in hypothesis):
+                return CheckResult(SKIP, unmet)
+            return conclusion(a)
+
+        CHECKS[name] = check
+        return conclusion
+
+    return register
+
+
+@_check("bmp", "nontrivial", "cut")
+def _bmp(a: Analysis) -> CheckResult:
+    order = a.report.order
+    if order % 2 and order % 3:
+        return CheckResult(FAIL, f"order {order} coprime to 6")
+    return CheckResult(PASS, f"order {order} divisible by 2 or 3")
+
+
+@_check("tent", "solvable", "cut")
+def _tent(a: Analysis) -> CheckResult:
+    degree = a.qg_degree
+    return CheckResult(
+        PASS if degree <= 32 else FAIL, f"character field degree {degree} vs bound 32"
+    )
+
+
+def _primes_within(a: Analysis, allowed: tuple[int, ...]) -> CheckResult:
+    bad = sorted(set(prime_divisors(a.report.order)) - set(allowed))
+    if bad:
+        return CheckResult(FAIL, f"extra primes {bad}")
+    listed = ", ".join(str(p) for p in allowed)
+    return CheckResult(PASS, f"prime divisors within {{{listed}}}")
+
+
+_check("gow_primes", "solvable", "rational")(lambda a: _primes_within(a, (2, 3, 5)))
+_check("cut_primes", "solvable", "cut")(lambda a: _primes_within(a, (2, 3, 5, 7)))
+
+
+@_check("hegedus", "solvable", "rational")
+def _hegedus(a: Analysis) -> CheckResult:
+    P5 = a.sylow(5)
+    normal = P5.order() == a.p_core(5).order()
+    elem_ab = is_elementary_abelian(P5.as_group, 5)
+    return CheckResult(
+        PASS if normal and elem_ab else FAIL,
+        f"Sylow 5 order {P5.order()}: normal={normal}, elementary abelian={elem_ab}",
+    )
+
+
+@_check("ppe", "cut")
+def _ppe(a: Analysis) -> CheckResult:
+    P3 = a.sylow(3)
+    ok = abelianization_exponent_divides(P3.as_group, 3, a.cap)
+    return CheckResult(
+        PASS if ok else FAIL,
+        f"exp(P/P') of the order-{P3.order()} Sylow 3-subgroup"
+        f" {'divides' if ok else 'does not divide'} 3",
+    )
+
+
+@_check("q3", "solvable", "cut")
+def _q3(a: Analysis) -> CheckResult:
+    exps = {p: exponent(a.p_core(p).as_group, a.cap) for p in (5, 7)}
+    return CheckResult(
+        PASS if all(p % e == 0 for p, e in exps.items()) else FAIL,
+        "; ".join(f"exp O_{p} = {e}" for p, e in exps.items()),
+    )
+
+
+@_check("sylow3", "cut", unmet="group is not cut")
+def _sylow3(a: Analysis) -> CheckResult:
+    P = a.sylow(3)
+    if a.sylow_analysis(3).report.is_cut:
         return CheckResult(PASS, f"Sylow 3-subgroup of order {P.order()} is cut")
     gens = ", ".join(str(g) for g in P.gens)
     return CheckResult(
@@ -265,46 +395,49 @@ def sylow3_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
     )
 
 
+@_check("lemma61")
+def _lemma61(a: Analysis) -> CheckResult:
+    table = a.table
+    three_classes = [
+        c for c, o in enumerate(table.rep_orders) if o > 1 and _is_power_of(o, 3)
+    ]
+    if not three_classes:
+        return CheckResult(PASS, "vacuous: no elements of 3-power order")
+    sub = a.sylow_analysis(3)
+    for c in three_classes:
+        isr_in_g = a.classes[c].is_inverse_semirational
+        conjugates = class_conjugators(a.G, table.reps[c])
+        member = next((y for y in conjugates if y in sub.table.class_of), None)
+        if member is None:  # every 3-element class meets every Sylow 3-subgroup
+            raise AssertionError("class of a 3-element misses the Sylow subgroup")
+        isr_in_p = sub.classes[sub.table.class_of[member]].is_inverse_semirational
+        if isr_in_p != isr_in_g:
+            return CheckResult(
+                FAIL,
+                f"class of {table.reps[c]}: inverse semi-rational in G is"
+                f" {isr_in_g} but {isr_in_p} in the Sylow 3-subgroup",
+            )
+    checked = sum(table.sizes[c] for c in three_classes)
+    return CheckResult(
+        PASS, f"{checked} elements of 3-power order agree with the Sylow verdict"
+    )
+
+
+def sylow3_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
+    """Is the Sylow 3-subgroup of a cut group itself cut?
+
+    A FAIL is a potential counterexample to an open question and carries the
+    witness subgroup's generators.
+    """
+    return CHECKS["sylow3"](Analysis(G, cap))
+
+
 def lemma61_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
     """For every element of 3-power order, inverse semi-rationality in G must
     match inverse semi-rationality in a Sylow 3-subgroup reached by an
     explicit conjugator.  This is a theorem: a FAIL means an implementation
     bug, not a discovery."""
-    table = conjugacy_classes(G, cap)
-    three_classes = [
-        c
-        for c in range(len(table))
-        if table.rep_orders[c] > 1 and _is_power_of(table.rep_orders[c], 3)
-    ]
-    if not three_classes:
-        return CheckResult(PASS, "vacuous: no elements of 3-power order")
-    P = sylow(G, 3, cap)
-    inside = {e.images for e in P.as_group.elements(cap)}
-    sub_table = conjugacy_classes(P.as_group, cap)
-    sub_isr: dict[int, bool] = {}
-    checked = 0
-    for c in three_classes:
-        isr_in_g = classify_class(table, c).is_inverse_semirational
-        member = None
-        for images, _ in class_conjugators(G, table.reps[c]).items():
-            if images in inside:
-                member = images
-                break
-        if member is None:  # every 3-element class meets every Sylow 3-subgroup
-            raise AssertionError("class of a 3-element misses the Sylow subgroup")
-        sc = sub_table.class_of[member]
-        if sc not in sub_isr:
-            sub_isr[sc] = classify_class(sub_table, sc).is_inverse_semirational
-        if sub_isr[sc] != isr_in_g:
-            return CheckResult(
-                FAIL,
-                f"class of {table.reps[c]}: inverse semi-rational in G is"
-                f" {isr_in_g} but {sub_isr[sc]} in the Sylow 3-subgroup",
-            )
-        checked += table.sizes[c]
-    return CheckResult(
-        PASS, f"{checked} elements of 3-power order agree with the Sylow verdict"
-    )
+    return CHECKS["lemma61"](Analysis(G, cap))
 
 
 def conjecture_suite(G: PermGroup, cap: int = DEFAULT_CAP) -> dict[str, CheckResult]:
@@ -314,84 +447,4 @@ def conjecture_suite(G: PermGroup, cap: int = DEFAULT_CAP) -> dict[str, CheckRes
     the conclusion did not, which for the open-question checks would be a
     publishable counterexample.
     """
-    report = group_rationality(G, cap)
-    order = G.order()
-    solvable = report.solvable
-    cut = report.is_cut
-    rational = report.is_rational
-    primes = prime_divisors(order)
-    results: dict[str, CheckResult] = {}
-
-    if cut and order > 1:
-        ok = order % 2 == 0 or order % 3 == 0
-        results["bmp"] = CheckResult(
-            PASS if ok else FAIL,
-            f"order {order} divisible by 2 or 3" if ok else f"order {order} coprime to 6",
-        )
-    else:
-        results["bmp"] = CheckResult(SKIP, "needs a nontrivial cut group")
-
-    if solvable and cut:
-        ok = report.qg_degree <= 32
-        results["tent"] = CheckResult(
-            PASS if ok else FAIL, f"character field degree {report.qg_degree} vs bound 32"
-        )
-    else:
-        results["tent"] = CheckResult(SKIP, "needs a solvable cut group")
-
-    if solvable and rational:
-        bad = sorted(set(primes) - {2, 3, 5})
-        results["gow_primes"] = CheckResult(
-            PASS if not bad else FAIL,
-            "prime divisors within {2, 3, 5}" if not bad else f"extra primes {bad}",
-        )
-    else:
-        results["gow_primes"] = CheckResult(SKIP, "needs a solvable rational group")
-
-    if solvable and cut:
-        bad = sorted(set(primes) - {2, 3, 5, 7})
-        results["cut_primes"] = CheckResult(
-            PASS if not bad else FAIL,
-            "prime divisors within {2, 3, 5, 7}" if not bad else f"extra primes {bad}",
-        )
-    else:
-        results["cut_primes"] = CheckResult(SKIP, "needs a solvable cut group")
-
-    if solvable and rational:
-        P5 = sylow(G, 5, cap)
-        O5 = p_core(G, 5, cap)
-        normal = P5.order() == O5.order()
-        elem_ab = is_elementary_abelian(P5.as_group, 5)
-        ok = normal and elem_ab
-        results["hegedus"] = CheckResult(
-            PASS if ok else FAIL,
-            f"Sylow 5 order {P5.order()}: normal={normal}, elementary abelian={elem_ab}",
-        )
-    else:
-        results["hegedus"] = CheckResult(SKIP, "needs a solvable rational group")
-
-    if cut:
-        P3 = sylow(G, 3, cap)
-        ok = abelianization_exponent_divides(P3.as_group, 3, cap)
-        results["ppe"] = CheckResult(
-            PASS if ok else FAIL,
-            f"exp(P/P') of the order-{P3.order()} Sylow 3-subgroup"
-            f" {'divides' if ok else 'does not divide'} 3",
-        )
-    else:
-        results["ppe"] = CheckResult(SKIP, "needs a cut group")
-
-    if solvable and cut:
-        detail = []
-        ok = True
-        for p in (5, 7):
-            core = p_core(G, p, cap)
-            exp = exponent(core.as_group, cap)
-            if p % exp != 0:
-                ok = False
-            detail.append(f"exp O_{p} = {exp}")
-        results["q3"] = CheckResult(PASS if ok else FAIL, "; ".join(detail))
-    else:
-        results["q3"] = CheckResult(SKIP, "needs a solvable cut group")
-
-    return results
+    return Analysis(G, cap).run(SUITE_CHECKS)

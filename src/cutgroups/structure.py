@@ -101,13 +101,11 @@ class ClassTable:
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     """Full class partition by orbits of the conjugation action, seeded from
-    each yet-unassigned element in enumeration order.  Cached on the group."""
+    each yet-unassigned element in enumeration order.  Not cached: callers
+    that need the table more than once keep it."""
     order = G.order()
     if order > cap:
         raise CapExceeded(order, cap)
-    cached = getattr(G, "_class_table", None)
-    if cached is not None:
-        return cached
     elems = G.elements(cap)
     class_of: dict[tuple[int, ...], int] = {}
     reps: list[Permutation] = []
@@ -129,20 +127,16 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                     queue.append(z)
         reps.append(x)
         sizes.append(size)
-    table = ClassTable(G, reps, sizes, class_of)
-    G._class_table = table
-    return table
+    return ClassTable(G, reps, sizes, class_of)
 
 
 def are_conjugate(
     G: PermGroup, x: Permutation, y: Permutation, cap: int = DEFAULT_CAP
 ) -> bool:
+    """Builds G's class table on every call; to test many pairs, build it
+    once with conjugacy_classes and compare class_index values."""
     table = conjugacy_classes(G, cap)
     return table.class_index(x) == table.class_index(y)
-
-
-def power_class(table: ClassTable, c: int, k: int) -> int:
-    return table.power_class(c, k)
 
 
 def class_members(table: ClassTable, cap: int = DEFAULT_CAP) -> list[list[Permutation]]:
@@ -274,12 +268,20 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
 
 
 def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
-    """O_p(G), the largest normal p-subgroup: the elements of a Sylow
-    p-subgroup whose entire conjugacy class stays inside it."""
+    """O_p(G), the largest normal p-subgroup."""
     P = sylow(G, p, cap)
     if P.order() == 1:
         return P
-    table = conjugacy_classes(G, cap)
+    return core_of(G, P, conjugacy_classes(G, cap), cap)
+
+
+def core_of(
+    G: PermGroup, P: Subgroup, table: ClassTable, cap: int = DEFAULT_CAP
+) -> Subgroup:
+    """The subgroup of the elements of P whose whole conjugacy class in G
+    (read from G's class table) lies in P; for P Sylow this is O_p(G)."""
+    if P.order() == 1:
+        return P
     inside = {e.images for e in P.as_group.elements(cap)}
     members = class_members(table, cap)
     core: list[Permutation] = []

@@ -8,6 +8,7 @@ own second survey to pin byte-level determinism.
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -249,5 +250,11 @@ def test_criterion_14_deterministic_reports(corpus, survey):
     first_bytes = render_report(report, "json").encode()
     second_bytes = render_report(second, "json").encode()
     assert first_bytes == second_bytes
+    # the stored seed report is the fixed point for every refactor; it was
+    # made from the corpus path, the fixture labels the report "bundled"
+    stored = Path(__file__).parents[1] / "perfbench/expected/survey-bundled.json"
+    expected = json.loads(stored.read_text(encoding="utf-8"))
+    expected["corpus"] = "bundled"
+    assert json.loads(first_bytes) == expected
     _announce(14, f"two survey runs produce byte-identical JSON reports "
-                  f"({len(first_bytes)} bytes)")
+                  f"({len(first_bytes)} bytes) equal to the stored report")

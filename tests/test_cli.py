@@ -137,12 +137,13 @@ class TestSurvey:
     def test_fail_exit_code(self, tmp_path, capsys, monkeypatch):
         # no real corpus group violates a theorem check, so fake one FAIL to
         # pin the exit-code contract for counterexample discovery
-        from cutgroups import corpus as corpus_mod
+        from cutgroups import rationality
 
-        def fake_suite(G, cap):
-            return {"bmp": CheckResult("FAIL", "fabricated for exit-code test")}
-
-        monkeypatch.setattr(corpus_mod, "conjecture_suite", fake_suite)
+        monkeypatch.setitem(
+            rationality.CHECKS,
+            "bmp",
+            lambda a: CheckResult("FAIL", "fabricated for exit-code test"),
+        )
         path = self.corpus_file(tmp_path)
         code, out, err = run_cli(
             ["survey", "--corpus", str(path), "--checks", "bmp",
@@ -150,6 +151,13 @@ class TestSurvey:
         )
         assert code == 1
         assert "failure" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "x"])
+    def test_bad_workers_rejected_at_parse_time(self, tmp_path, workers, capsys):
+        path = self.corpus_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["survey", "--corpus", str(path), "--workers", workers])
+        assert exc.value.code == 2
 
     def test_output_file(self, tmp_path, capsys):
         path = self.corpus_file(tmp_path)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cutgroups import corpus
 from cutgroups.corpus import (
     ALL_CHECKS,
     GroupRecord,
@@ -73,6 +74,7 @@ class TestParseCorpus:
         ("group g\ndegree x\ngen (1 2)\nend\n", "bad degree"),
         ("group g\ndegree 3\nwhat ever\ngen (1 2)\nend\n", "unknown keyword"),
         ("group g\ndegree 3\ngen (1 9)\nend\n", "g"),
+        ("group g\ndegree 100000000\ngen ()\nend\n", "degree must be in 1..1000000"),
     ])
     def test_syntax_errors(self, tmp_path, text, fragment):
         path = tmp_path / "syntax.corpus"
@@ -134,6 +136,42 @@ class TestRunSurvey:
         rows = {row["id"]: row for row in report.rows}
         assert rows["s3"]["sylow2_cut"] is True  # C2 is cut
         assert rows["c5"]["sylow2_cut"] is None  # not a cut group, not computed
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError):
+            SurveyConfig(workers=workers)
+
+    @pytest.mark.parametrize("workers,cpus,pool_size", [
+        (10 ** 6, 8, 3),  # clamped to the record count
+        (10 ** 6, 2, 2),  # clamped to the CPU count
+        (2, 8, 2),
+        (10 ** 6, None, None),  # unknown CPU count: serial, no pool
+        (1, 8, None),
+    ])
+    def test_pool_size_clamped(self, monkeypatch, workers, cpus, pool_size):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(corpus.os, "cpu_count", lambda: cpus)
+        records = [record_for(f"c{n}", cyclic(n)) for n in (2, 3, 4)]
+        report = run_survey(records, SurveyConfig(checks=("bmp",), workers=workers))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(report.rows) == 3
+        assert report.config["workers"] == workers  # the requested value
 
     def test_workers_do_not_change_output(self):
         records = [record_for(f"c{n:02d}", cyclic(n)) for n in range(1, 12)]

@@ -1,7 +1,7 @@
 import pytest
 
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from cutgroups.group import PermGroup, build_group, trivial_group
+from cutgroups.group import PermGroup, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation
 from cutgroups.constructions import alternating, symmetric
 
@@ -25,7 +25,7 @@ def brute_closure(gens):
 
 class TestConstruction:
     def test_trivial_group(self):
-        G = build_group(1, [Permutation.identity(1)])
+        G = PermGroup(1, [Permutation.identity(1)])
         assert G.order() == 1
 
     def test_empty_generators_rejected(self):
@@ -37,11 +37,11 @@ class TestConstruction:
             PermGroup(3, [Permutation.identity(4)])
 
     def test_s3_from_generators(self):
-        G = build_group(3, [parse_permutation("(1 2)", 3), parse_permutation("(1 2 3)", 3)])
+        G = PermGroup(3, [parse_permutation("(1 2)", 3), parse_permutation("(1 2 3)", 3)])
         assert G.order() == len(brute_closure(list(G.generators))) == 6
 
     def test_s5_order(self):
-        G = build_group(5, [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2)", 5)])
+        G = PermGroup(5, [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2)", 5)])
         assert G.order() == 120
 
 
@@ -61,7 +61,7 @@ class TestOrder:
 
 class TestContains:
     def test_identity_always_member(self):
-        G = build_group(4, [parse_permutation("(1 2 3)", 4)])
+        G = PermGroup(4, [parse_permutation("(1 2 3)", 4)])
         assert G.contains(Permutation.identity(4))
 
     def test_odd_permutation_not_in_a4(self):

@@ -15,7 +15,6 @@ from cutgroups.perm import (
     Permutation,
     commutator,
     compose,
-    element_order,
     format_permutation,
     parse_permutation,
     power,
@@ -147,13 +146,13 @@ class TestInversePower:
 
 class TestOrder:
     def test_identity(self):
-        assert element_order(Permutation.identity(5)) == 1
+        assert Permutation.identity(5).order() == 1
 
     def test_lcm(self):
-        assert element_order(parse_permutation("(1 2)(3 4 5)", 5)) == 6
+        assert parse_permutation("(1 2)(3 4 5)", 5).order() == 6
 
     def test_five_cycle(self):
-        assert element_order(parse_permutation("(1 2 3 4 5)", 5)) == 5
+        assert parse_permutation("(1 2 3 4 5)", 5).order() == 5
 
     def test_order_is_minimal_exponent(self):
         rng = random.Random(7)

@@ -5,7 +5,10 @@ import pytest
 from cutgroups.errors import BoundExceeded
 from cutgroups.group import PermGroup
 from cutgroups.perm import parse_permutation
+from cutgroups import rationality
+from cutgroups.group import DEFAULT_CAP
 from cutgroups.rationality import (
+    CHECKS,
     FAIL,
     PASS,
     SKIP,
@@ -286,3 +289,31 @@ class TestConjectureSuite:
                   cyclic(6), sylnorm(5), sylnorm(7), alternating(4)]:
             for name, r in conjecture_suite(G).items():
                 assert r.status != FAIL, (name, r.detail)
+
+
+def test_each_fact_is_computed_once(monkeypatch):
+    # S4 is solvable and rational, so hegedus, ppe, q3, sylow3 and lemma61
+    # all get past their hypotheses and ask for Sylow subgroups and p-cores
+    G = symmetric(4)
+    sylow_calls = []
+    table_groups = []
+    real_sylow = rationality.sylow
+    real_classes = rationality.conjugacy_classes
+
+    def counting_sylow(H, p, cap):
+        sylow_calls.append((H, p))
+        return real_sylow(H, p, cap)
+
+    def counting_classes(H, cap):
+        table_groups.append(H)
+        return real_classes(H, cap)
+
+    monkeypatch.setattr(rationality, "sylow", counting_sylow)
+    monkeypatch.setattr(rationality, "conjugacy_classes", counting_classes)
+    report = group_rationality(G, DEFAULT_CAP, tuple(CHECKS))
+
+    assert list(report.check_results) == list(CHECKS)
+    assert all(r.status != SKIP for r in report.check_results.values())
+    assert all(H is G for H, _ in sylow_calls)
+    assert sorted(p for _, p in sylow_calls) == [3, 5, 7]
+    assert sum(H is G for H in table_groups) == 1
