@@ -45,14 +45,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _checks_argument(text: str) -> tuple[str, ...]:
-    names = tuple(t.strip() for t in text.split(",") if t.strip())
-    unknown = [n for n in names if n not in ALL_CHECKS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown checks {unknown}; known: {', '.join(ALL_CHECKS)}"
-        )
-    return names
+def _checks_argument(known: tuple[str, ...]):
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(t.strip() for t in text.split(",") if t.strip())
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown checks {unknown}; known: {', '.join(known)}"
+            )
+        return names
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--family", help="family spec, e.g. cyclic:6 or sylnorm:5")
     source.add_argument("--file", help="corpus file containing exactly one group")
     analyze.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    analyze.add_argument("--checks", type=_checks_argument, default=ALL_CHECKS)
+    analyze.add_argument(
+        "--checks", type=_checks_argument(tuple(CHECKS)), default=tuple(CHECKS)
+    )
     analyze.add_argument("--format", choices=["json", "csv", "text"], default="text")
     analyze.add_argument("--out", help="output path (default stdout)")
     analyze.set_defaults(func=cmd_analyze)
@@ -75,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     survey = sub.add_parser("survey", help="batch-analyze a corpus file")
     survey.add_argument("--corpus", required=True)
     survey.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    survey.add_argument("--checks", type=_checks_argument, default=ALL_CHECKS)
+    survey.add_argument(
+        "--checks", type=_checks_argument(ALL_CHECKS), default=ALL_CHECKS
+    )
     survey.add_argument("--format", choices=["json", "csv", "text"], default="text")
     survey.add_argument("--out", help="output path (default stdout)")
     survey.add_argument("--workers", type=_positive_int, default=1)
@@ -168,7 +175,7 @@ def cmd_analyze(args) -> int:
     except (CutgroupsError, OSError) as e:
         return _fail(str(e), 2)
     try:
-        report = group_rationality(G, args.cap, [c for c in args.checks if c in CHECKS])
+        report = group_rationality(G, args.cap, args.checks)
     except CapExceeded as e:
         return _fail(str(e), 3)
     report_dict = report.as_dict()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import BadParam, DegreeTooLarge
 from .group import MAX_DEGREE, PermGroup
 from .perm import Permutation
-from .structure import is_prime
+from .structure import is_prime, prime_divisors
 
 
 def cyclic(n: int) -> PermGroup:
@@ -182,23 +182,10 @@ def sylnorm(p: int) -> PermGroup:
     root = next(
         g
         for g in range(2, p)
-        if all(pow(g, (p - 1) // q, p) != 1 for q in set(_prime_factors(p - 1)))
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors(p - 1))
     )
     multiplier = Permutation([(root * i) % p for i in range(p)])
     return PermGroup(p, [cycle, multiplier])
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def iterated_wreath(p: int, k: int) -> PermGroup:

@@ -9,11 +9,10 @@ solvability) work beyond it.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Sequence
 
 from .errors import BadParam, CapExceeded
-from .group import DEFAULT_CAP, PermGroup, trivial_group
+from .group import DEFAULT_CAP, PermGroup
 from .perm import Permutation, commutator, compose
 
 
@@ -57,9 +56,11 @@ def prime_divisors(n: int) -> list[int]:
 
 class ClassTable:
     """Conjugacy classes of a group: representatives in deterministic order,
-    sizes, an element-to-class map, and memoized power-map answers.
+    sizes, an element-to-class map, and the power map of every class, built
+    here and never changed afterwards.
 
-    reps[0] is always the identity class.
+    reps[0] is always the identity class; power_map[c][k] is the class of
+    reps[c] ** k for k in 0..rep_orders[c]-1.
     """
 
     def __init__(
@@ -74,8 +75,14 @@ class ClassTable:
         self.sizes = sizes
         self.class_of = class_of
         self.rep_orders = [r.order() for r in reps]
-        self._power_cache: dict[tuple[int, int], int] = {}
-        self._cache_lock = threading.Lock()
+        self.power_map: list[list[int]] = []
+        for rep, o in zip(reps, self.rep_orders):
+            x = Permutation.identity(rep.degree)
+            row = []
+            for _ in range(o):
+                row.append(class_of[x.images])
+                x = compose(x, rep)
+            self.power_map.append(row)
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -87,16 +94,8 @@ class ClassTable:
             raise ValueError(f"{p} is not a member of the group") from None
 
     def power_class(self, c: int, k: int) -> int:
-        """Class index of reps[c] ** k; memoized."""
-        o = self.rep_orders[c]
-        key = (c, k % o)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
-        idx = self.class_of[(self.reps[c] ** key[1]).images]
-        with self._cache_lock:
-            self._power_cache[key] = idx
-        return idx
+        """Class index of reps[c] ** k; k may be zero, negative or large."""
+        return self.power_map[c][k % self.rep_orders[c]]
 
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:

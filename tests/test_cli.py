@@ -6,7 +6,7 @@ import pytest
 
 from cutgroups import cli
 from cutgroups.corpus import parse_corpus
-from cutgroups.rationality import CheckResult
+from cutgroups.rationality import CHECKS, CheckResult
 
 
 def run_cli(argv, capsys):
@@ -86,6 +86,15 @@ class TestAnalyze:
             cli.main(["analyze", "--family", "cyclic:6", "--checks", "nope"])
         assert exc.value.code == 2
 
+    def test_survey_only_check_rejected(self, capsys):
+        # syl2 only fills a survey row's sylow2_cut; analyze has no output for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--family", "sylnorm:5", "--checks", "lemma61,syl2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "syl2" in err
+        assert "known: " + ", ".join(CHECKS) in err
+
     @pytest.mark.parametrize("cap", ["0", "-5", "x"])
     def test_bad_cap_rejected_at_parse_time(self, cap, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +160,16 @@ class TestSurvey:
         )
         assert code == 1
         assert "failure" in err
+
+    def test_survey_accepts_syl2(self, tmp_path, capsys):
+        path = self.corpus_file(tmp_path)
+        code, out, _ = run_cli(
+            ["survey", "--corpus", str(path), "--checks", "syl2",
+             "--format", "json"], capsys
+        )
+        assert code == 0
+        rows = {row["id"]: row for row in json.loads(out)["rows"]}
+        assert rows["s3"]["sylow2_cut"] is True
 
     @pytest.mark.parametrize("workers", ["0", "-1", "x"])
     def test_bad_workers_rejected_at_parse_time(self, tmp_path, workers, capsys):

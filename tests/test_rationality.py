@@ -7,9 +7,11 @@ from cutgroups.group import PermGroup
 from cutgroups.perm import parse_permutation
 from cutgroups import rationality
 from cutgroups.group import DEFAULT_CAP
+from cutgroups import perm
 from cutgroups.rationality import (
     CHECKS,
     FAIL,
+    Analysis,
     PASS,
     SKIP,
     class_stabilizer,
@@ -317,3 +319,16 @@ def test_each_fact_is_computed_once(monkeypatch):
     assert all(H is G for H, _ in sylow_calls)
     assert sorted(p for _, p in sylow_calls) == [3, 5, 7]
     assert sum(H is G for H in table_groups) == 1
+
+
+@pytest.mark.parametrize("G", [symmetric(4), cyclic(12)], ids=["S4", "C12"])
+def test_classification_does_no_power_work_after_the_table(G, monkeypatch):
+    analysis = Analysis(G)
+    table = analysis.table
+
+    def no_power(p, k):
+        raise AssertionError("perm.power called after the class table was built")
+
+    monkeypatch.setattr(perm, "power", no_power)
+    assert [classify_class(table, c) for c in range(len(table))]
+    assert analysis.qg_degree >= 1

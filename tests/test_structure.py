@@ -174,6 +174,20 @@ class TestPowerClass:
         gen_class = T.class_of[parse_permutation("(1 2 3 4 5)", 5).images]
         assert T.power_class(gen_class, -1) == T.power_class(gen_class, 4)
 
+    @pytest.mark.parametrize(
+        "build, n",
+        [(cyclic, 61), (dicyclic, 3), (symmetric, 5), (alternating, 5)],
+        ids=["cyclic-61", "dicyclic-3", "symmetric-5", "alternating-5"],
+    )
+    def test_matches_square_and_multiply(self, build, n):
+        # the power map is built by successive products; perm.power
+        # (square-and-multiply) is the independent oracle
+        T = conjugacy_classes(build(n))
+        for c, rep in enumerate(T.reps):
+            o = T.rep_orders[c]
+            for k in range(-o, 2 * o + 1):
+                assert T.power_class(c, k) == T.class_index(rep ** k), (c, k)
+
 
 class TestClassConjugators:
     def test_conjugator_words_valid(self):
