@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,6 +214,14 @@ def _analyze_payload(payload: dict) -> dict:
     }
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes; imported here, so that ``import
+    cutgroups`` does not load ``concurrent.futures``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_survey(
     records: list[GroupRecord],
     config: SurveyConfig | None = None,
@@ -237,7 +244,7 @@ def run_survey(
     # a pool starts all its workers up front: no more than can run or have work
     workers = min(config.workers, os.cpu_count() or 1, len(payloads))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             outcomes = list(pool.map(_analyze_payload, payloads))
     else:
         outcomes = [_analyze_payload(p) for p in payloads]

@@ -1,19 +1,22 @@
 """Permutation groups: order, membership, and bounded element enumeration.
 
 Order and membership go through a deterministic stabilizer chain
-(base-and-strong-generators, smallest moved point first), so they work far
-beyond the enumeration cap.  Full element lists use breadth-first closure
+(base-and-strong-generators, smallest moved point first) built by
+incremental Schreier-Sims on image tuples, so they work far beyond the
+enumeration cap.  Full element lists use breadth-first closure
 over the generators, which fixes the element ordering that all downstream
 class indexing relies on.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import deque
 from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from .perm import Permutation, compose
+from .perm import Permutation, compose, invert_images, then_images
 
 DEFAULT_CAP = 100_000
 # Largest degree of a constructed family or a corpus record.
@@ -21,93 +24,129 @@ MAX_DEGREE = 10 ** 6
 
 
 class _ChainLevel:
-    """One level of a stabilizer chain: a base point, the strong generators
-    introduced at this level, the orbit transversal of the base point, and
-    the stabilizer level below."""
+    """One level of a stabilizer chain, on image tuples.
 
-    __slots__ = ("degree", "point", "gens", "transversal", "stab")
+    ``gens`` is S_L, every strong generator that reached this level, so
+    ``<gens>`` is this level's group and fixes every earlier base point.
+    ``reps[beta]`` maps the base point to beta and ``inverses[beta]`` is its
+    inverse; the orbit is their key set, always closed under ``gens``.
+    ``pending`` holds the (beta, s) Schreier pairs not yet sifted.
+    """
 
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.point = None  # base point, 0-based; None while the level is trivial
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        self.stab: _ChainLevel | None = None
+    __slots__ = ("point", "gens", "reps", "inverses", "pending")
 
-    def generators(self) -> list[Permutation]:
-        """Generators of this level's group (this level and all below)."""
-        below = self.stab.generators() if self.stab is not None else []
-        return below + self.gens
+    def __init__(self, point: int, identity: tuple[int, ...]):
+        self.point = point
+        self.gens: list[tuple[int, ...]] = []
+        self.reps = {point: identity}
+        self.inverses = {point: identity}
+        self.pending: deque[tuple[int, tuple[int, ...]]] = deque()
+
+    def extend(self, g: tuple[int, ...]) -> None:
+        """Add the strong generator g: extend the orbit from the images of
+        the old points under g, then breadth-first over the new points only,
+        and queue the Schreier pairs that are new.  Existing reps never
+        change."""
+        reps, inverses, gens = self.reps, self.inverses, self.gens
+        old = list(reps)
+        gens.append(g)
+        new = []
+
+        def visit(beta: int, s: tuple[int, ...]) -> None:
+            gamma = s[beta]
+            if gamma not in reps:
+                rep = then_images(reps[beta], s)
+                reps[gamma] = rep
+                inverses[gamma] = invert_images(rep)
+                new.append(gamma)
+
+        for beta in old:
+            visit(beta, g)
+        for beta in new:  # grows while it is walked: the breadth-first queue
+            for s in gens:
+                visit(beta, s)
+        self.pending.extend((beta, g) for beta in old)
+        self.pending.extend((beta, s) for beta in new for s in gens)
+
+
+class _Chain:
+    """A base and strong generating set, built by incremental Schreier-Sims
+    (Seress, *Permutation Group Algorithms*, ch. 4; Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, section 4.4).
+
+    A level's base point is the smallest point moved by the first strong
+    generator that reaches it, so the base is a function of the generator
+    list.  Each Schreier pair (beta, s) of a level is queued once, when the
+    later of beta and s arrives, and sifted once.  By Schreier's lemma, once
+    every pair has sifted to the identity each level's orbit times the order
+    below is the group order, and sifting decides membership.
+    """
+
+    __slots__ = ("identity", "levels")
+
+    def __init__(self, degree: int, generators: Sequence[Permutation]):
+        self.identity = tuple(range(degree))
+        self.levels: list[_ChainLevel] = []
+        for g in generators:
+            residue, depth = self.sift(g.images)
+            if residue != self.identity:
+                self._insert(residue, 0, depth)
+                self._close(depth)
+
+    def sift(
+        self, images: tuple[int, ...], start: int = 0
+    ) -> tuple[tuple[int, ...], int]:
+        """Sift images down from level ``start``; returns the residue and
+        the depth where it stopped (``len(levels)`` when it passed all)."""
+        levels = self.levels
+        for depth in range(start, len(levels)):
+            level = levels[depth]
+            beta = images[level.point]
+            if beta != level.point:
+                inverse = level.inverses.get(beta)
+                if inverse is None:
+                    return images, depth
+                images = then_images(images, inverse)
+        return images, len(levels)
+
+    def _insert(self, g: tuple[int, ...], start: int, depth: int) -> None:
+        """g fixes the base points above ``depth``: it is a new strong
+        generator of every level from ``start`` to ``depth``."""
+        if depth == len(self.levels):
+            point = next(i for i, j in enumerate(g) if i != j)
+            self.levels.append(_ChainLevel(point, self.identity))
+        for level in self.levels[start : depth + 1]:
+            level.extend(g)
+
+    def _close(self, depth: int) -> None:
+        """Sift the pending Schreier pairs, deepest level first; a residue
+        joins the levels below the pair's level only, since it already lies
+        in that level's group."""
+        levels = self.levels
+        while depth >= 0:
+            level = levels[depth]
+            if not level.pending:
+                depth -= 1
+                continue
+            beta, s = level.pending.popleft()
+            moved = then_images(level.reps[beta], s)
+            gamma = s[beta]
+            if moved == level.reps[gamma]:
+                continue  # a tree edge: the Schreier generator is trivial
+            schreier = then_images(moved, level.inverses[gamma])
+            residue, stop = self.sift(schreier, depth + 1)
+            if residue != self.identity:
+                self._insert(residue, depth + 1, stop)
+                depth = stop
 
     def order(self) -> int:
-        if self.point is None:
-            return 1
-        return len(self.transversal) * self.stab.order()
+        return math.prod(len(level.reps) for level in self.levels)
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Strip p through the chain; identity residue means membership."""
-        if self.point is None:
-            return p
-        target = p.apply(self.point)
-        if target == self.point:
-            return self.stab.sift(p)
-        rep = self.transversal.get(target)
-        if rep is None:
-            return p
-        return self.stab.sift(compose(p, rep.inverse()))
-
-    def add(self, p: Permutation) -> None:
-        residue = self.sift(p)
-        if not residue.is_identity():
-            self._add_strong(residue)
-
-    def _add_strong(self, g: Permutation) -> None:
-        if self.point is None:
-            self.point = min(
-                i for i, j in enumerate(g.images) if i != j
-            )
-            self.stab = _ChainLevel(self.degree)
-        if g.apply(self.point) == self.point:
-            self.stab._add_strong(g)
-        else:
-            self.gens.append(g)
-        self._rebuild_transversal()
-        self._close_schreier()
-
-    def _rebuild_transversal(self) -> None:
-        gens = self.generators()
-        transversal = {self.point: Permutation.identity(self.degree)}
-        queue = [self.point]
-        while queue:
-            beta = queue.pop(0)
-            rep = transversal[beta]
-            for g in gens:
-                gamma = g.apply(beta)
-                if gamma not in transversal:
-                    transversal[gamma] = compose(rep, g)
-                    queue.append(gamma)
-        self.transversal = transversal
-
-    def _close_schreier(self) -> None:
-        # Sifting every Schreier generator to the identity certifies that
-        # the transversal product really equals the group order.
-        gens = self.generators()
-        for beta in sorted(self.transversal):
-            u_beta = self.transversal[beta]
-            for g in gens:
-                gamma = g.apply(beta)
-                schreier = compose(
-                    compose(u_beta, g), self.transversal[gamma].inverse()
-                )
-                self.stab.add(schreier)
+    def contains(self, images: tuple[int, ...]) -> bool:
+        return self.sift(images)[0] == self.identity
 
     def base_points(self) -> list[int]:
-        points = []
-        level = self
-        while level is not None and level.point is not None:
-            points.append(level.point)
-            level = level.stab
-        return points
+        return [level.point for level in self.levels]
 
 
 class PermGroup:
@@ -132,7 +171,7 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._lock = threading.Lock()
-        self._chain: _ChainLevel | None = None
+        self._chain: _Chain | None = None
         self._order: int | None = None
         self._elements: list[Permutation] | None = None
 
@@ -140,19 +179,16 @@ class PermGroup:
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
-    def _chain_root(self) -> _ChainLevel:
+    def _built_chain(self) -> _Chain:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    root = _ChainLevel(self.degree)
-                    for g in self.generators:
-                        root.add(g)
-                    self._chain = root
+                    self._chain = _Chain(self.degree, self.generators)
         return self._chain
 
     def order(self) -> int:
         if self._order is None:
-            self._order = self._chain_root().order()
+            self._order = self._built_chain().order()
         return self._order
 
     def contains(self, p: Permutation) -> bool:
@@ -160,7 +196,7 @@ class PermGroup:
             raise DegreeMismatch(
                 f"permutation degree {p.degree} != group degree {self.degree}"
             )
-        return self._chain_root().sift(p).is_identity()
+        return self._built_chain().contains(p.images)
 
     def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
         """All |G| elements by breadth-first closure over the generators.
@@ -194,7 +230,7 @@ class PermGroup:
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""
-        return self._chain_root().base_points()
+        return self._built_chain().base_points()
 
 
 def trivial_group(degree: int) -> PermGroup:

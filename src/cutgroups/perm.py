@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, MalformedCycle, PointOutOfRange, RepeatedPoint
@@ -33,6 +34,15 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(img) - 1}: {img!r}")
         self._images = img
         self._order = None
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation, without
+        validation; internal products only, never user input."""
+        p = object.__new__(cls)
+        p._images = images
+        p._order = None
+        return p
 
     # -- construction helpers ------------------------------------------------
 
@@ -93,10 +103,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._images)
-        for i, j in enumerate(self._images):
-            inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(invert_images(self._images))
 
     def __pow__(self, k: int) -> "Permutation":
         return power(self, k)
@@ -112,7 +119,7 @@ class Permutation:
         out = [0] * len(xi)
         for j in range(len(xi)):
             out[gi[j]] = gi[xi[j]]
-        return Permutation(out)
+        return Permutation._trusted(tuple(out))
 
     # -- structure ---------------------------------------------------------------
 
@@ -164,8 +171,26 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p, then q: the result maps i to q(p(i))."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees differ: {p.degree} vs {q.degree}")
-    qi = q.images
-    return Permutation(tuple(qi[x] for x in p.images))
+    return Permutation._trusted(then_images(p._images, q._images))
+
+
+def then_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of "apply p, then q": ``q[p[i]]`` for every i.
+
+    ``itemgetter(*p)`` gathers the images in C, about twice as fast as a
+    comprehension; at degree 1 it would return a bare int, but the only
+    permutation of degree 1 is the identity."""
+    if len(p) == 1:
+        return q
+    return itemgetter(*p)(q)
+
+
+def invert_images(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def power(p: Permutation, k: int) -> Permutation:

@@ -9,6 +9,7 @@ solvability) work beyond it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Sequence
 
 from .errors import BadParam, CapExceeded
@@ -115,9 +116,9 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
         idx = len(reps)
         class_of[x.images] = idx
         size = 1
-        queue = [x]
+        queue = deque([x])
         while queue:
-            y = queue.pop(0)
+            y = queue.popleft()
             for g in G.generators:
                 z = y.conjugate_by(g)
                 if z.images not in class_of:
@@ -152,9 +153,9 @@ def class_conjugators(
     """Map each member y of rep's class to a conjugator u with rep ** u = y."""
     identity = Permutation.identity(G.degree)
     out = {rep.images: identity}
-    queue = [(rep, identity)]
+    queue = deque([(rep, identity)])
     while queue:
-        y, u = queue.pop(0)
+        y, u = queue.popleft()
         for g in G.generators:
             z = y.conjugate_by(g)
             if z.images not in out:
@@ -307,9 +308,9 @@ def derived_subgroup(H: PermGroup) -> Subgroup:
         return Subgroup(H, [])
     gens = list(seeds)
     D = PermGroup(H.degree, gens)
-    queue = list(seeds)
+    queue = deque(seeds)
     while queue:
-        d = queue.pop(0)
+        d = queue.popleft()
         for g in H.generators:
             e = d.conjugate_by(g)
             if not D.contains(e):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutgroups
 from cutgroups import corpus
 from cutgroups.corpus import (
     ALL_CHECKS,
@@ -165,13 +170,24 @@ class TestRunSurvey:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(corpus, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(corpus, "_process_pool", SerialPool)
         monkeypatch.setattr(corpus.os, "cpu_count", lambda: cpus)
         records = [record_for(f"c{n}", cyclic(n)) for n in (2, 3, 4)]
         report = run_survey(records, SurveyConfig(checks=("bmp",), workers=workers))
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(report.rows) == 3
         assert report.config["workers"] == workers  # the requested value
+
+    def test_import_does_not_load_process_pool(self):
+        # the pool is imported only when a survey runs with workers > 1
+        src = str(Path(cutgroups.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        probe = "import sys, cutgroups; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_workers_do_not_change_output(self):
         records = [record_for(f"c{n:02d}", cyclic(n)) for n in range(1, 12)]

@@ -1,9 +1,14 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chain_oracle import oracle_chain
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation
-from cutgroups.constructions import alternating, symmetric
+from cutgroups.constructions import alternating, iterated_wreath, symmetric
 
 
 def brute_closure(gens):
@@ -125,3 +130,64 @@ class TestChain:
         # degree 10 with order well beyond any sensible cap
         G = symmetric(10)
         assert G.order() == 3628800
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda: symmetric(30), math.factorial(30)),
+            (lambda: alternating(40), math.factorial(40) // 2),
+            # (|S_3| = 6) ** (1 + 3 + 9 + 27) for the depth-4 tower of degree 81
+            (lambda: iterated_wreath(3, 4), 6 ** 40),
+        ],
+        ids=["S30", "A40", "wreath-3-4"],
+    )
+    def test_large_orders_match_closed_forms(self, make, expected):
+        assert make().order() == expected
+
+    @pytest.mark.parametrize(
+        "make", [lambda: alternating(12), lambda: iterated_wreath(3, 3)], ids=["A12", "wreath-3-3"]
+    )
+    def test_base_points_deterministic(self, make):
+        gens = make().generators
+        first = PermGroup(gens[0].degree, gens).base_points()
+        second = PermGroup(gens[0].degree, list(gens)).base_points()
+        assert first == second
+        assert len(set(first)) == len(first)
+
+
+# Brute closure is only run up to this order; beyond it the rebuild-and-resift
+# chain in chain_oracle is the reference.
+BRUTE_CLOSURE_MAX = 5040
+
+
+@st.composite
+def generators_and_queries(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    perm = st.permutations(list(range(n))).map(Permutation)
+    gens = draw(st.lists(perm, min_size=1, max_size=4))
+    randoms = draw(st.lists(perm, min_size=1, max_size=6))
+    words = draw(st.lists(st.lists(st.sampled_from(gens), min_size=1, max_size=6), max_size=4))
+    products = []
+    for word in words:
+        p = Permutation.identity(n)
+        for g in word:
+            p = compose(p, g)
+        products.append(p)
+    return gens, randoms + products
+
+
+class TestChainAgainstOracle:
+    """The incremental chain against the rebuild-and-resift chain it
+    replaced, kept in tests/chain_oracle.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generators_and_queries())
+    def test_order_and_membership(self, case):
+        gens, queries = case
+        G = PermGroup(gens[0].degree, gens)
+        oracle = oracle_chain(gens)
+        assert G.order() == oracle.order()
+        if G.order() <= BRUTE_CLOSURE_MAX:
+            assert G.order() == len(brute_closure(gens))
+        for q in queries:
+            assert G.contains(q) == oracle.sift(q).is_identity()

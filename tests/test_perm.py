@@ -189,3 +189,42 @@ class TestStructureHelpers:
         a = parse_permutation("(1 2)", 4)
         b = parse_permutation("(3 4)", 4)
         assert commutator(a, b).is_identity()
+
+
+def same_degree_pair(max_degree=12):
+    return st.integers(min_value=1, max_value=max_degree).flatmap(
+        lambda n: st.tuples(st.permutations(list(range(n))), st.permutations(list(range(n))))
+    )
+
+
+class TestTrustedKernel:
+    """Products skip validation; the public constructors keep it."""
+
+    @pytest.mark.parametrize(
+        "images", [[0, 0, 1], [1, 2, 3], [0, 2], [-1, 0], [0, 1, 1, 3]]
+    )
+    def test_public_constructor_rejects_non_permutations(self, images):
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+    def test_identity_rejects_bad_degree(self):
+        with pytest.raises(ValueError):
+            Permutation.identity(0)
+
+    @settings(max_examples=200)
+    @given(same_degree_pair())
+    def test_products_equal_validated_rebuilds(self, pair):
+        p, q = Permutation(pair[0]), Permutation(pair[1])
+        n = p.degree
+        products = {
+            "compose": (compose(p, q), [q.images[p.images[i]] for i in range(n)]),
+            "inverse": (p.inverse(), sorted(range(n), key=p.images.__getitem__)),
+            "conjugate_by": (
+                p.conjugate_by(q),
+                [q.images[p.images[q.inverse().images[i]]] for i in range(n)],
+            ),
+        }
+        for name, (got, want) in products.items():
+            assert type(got.images) is tuple, name
+            assert sorted(got.images) == list(range(n)), name
+            assert got == Permutation(list(got.images)) == Permutation(want), name
