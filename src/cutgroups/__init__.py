@@ -84,7 +84,6 @@ from .corpus import (
     SurveyConfig,
     SurveyReport,
     bundled_corpus_path,
-    emit_report,
     parse_corpus,
     run_survey,
 )

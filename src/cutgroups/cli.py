@@ -12,23 +12,23 @@ Machine-format output goes to stdout (or --out); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from pathlib import Path
 
 from .alternating import alternating_exponent
 from .corpus import (
     ALL_CHECKS,
+    FORMATS,
     SurveyConfig,
-    emit_report,
     parse_corpus,
+    render_an_fields,
+    render_analysis,
+    render_record,
+    render_report,
     run_survey,
+    write_output,
 )
 from .errors import CapExceeded, CorpusError, CutgroupsError
 from .group import DEFAULT_CAP, PermGroup
-from .perm import format_permutation
 from .rationality import CHECKS, group_rationality, qg_degree_alternating
 from .constructions import parse_family_spec
 
@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--checks", type=_checks_argument(tuple(CHECKS)), default=tuple(CHECKS)
     )
-    analyze.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    analyze.add_argument("--out", help="output path (default stdout)")
     analyze.set_defaults(func=cmd_analyze)
 
     survey = sub.add_parser("survey", help="batch-analyze a corpus file")
@@ -83,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument(
         "--checks", type=_checks_argument(ALL_CHECKS), default=ALL_CHECKS
     )
-    survey.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    survey.add_argument("--out", help="output path (default stdout)")
     survey.add_argument("--workers", type=_positive_int, default=1)
     survey.set_defaults(func=cmd_survey)
 
@@ -92,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "construct", help="emit a one-record corpus for a constructed family"
     )
     construct.add_argument("--family", required=True)
-    construct.add_argument("--out", help="output path (default stdout)")
     construct.set_defaults(func=cmd_construct)
 
     an_fields = sub.add_parser(
@@ -100,18 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="character-field degrees of alternating groups, no enumeration",
     )
     an_fields.add_argument("--max-n", type=int, required=True, dest="max_n")
-    an_fields.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    an_fields.add_argument("--out", help="output path (default stdout)")
     an_fields.set_defaults(func=cmd_an_fields)
 
+    for command in (analyze, survey, an_fields):
+        command.add_argument("--format", choices=FORMATS, default="text")
+    for command in (analyze, survey, construct, an_fields):
+        command.add_argument("--out", help="output path (default stdout)")
     return parser
-
-
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
 
 
 def _fail(message: str, code: int) -> int:
@@ -130,45 +120,6 @@ def _load_single_group(args) -> PermGroup:
     return records[0].build_group()
 
 
-def _render_analysis_text(report_dict: dict) -> str:
-    lines = [
-        f"order:         {report_dict['order']}",
-        f"solvable:      {report_dict['solvable']}",
-        f"rational:      {report_dict['rational']}",
-        f"cut:           {report_dict['cut']}",
-        f"semirational:  {report_dict['semirational']}",
-        f"qg_degree:     {report_dict['qg_degree']}",
-        f"classes:       {len(report_dict['classes'])}",
-    ]
-    if report_dict["checks"]:
-        lines.append("checks:")
-        for name, result in report_dict["checks"].items():
-            lines.append(f"  {name:12s} {result['status']:4s} {result['detail']}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_analysis_csv(report_dict: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    names = list(report_dict["checks"])
-    writer.writerow(
-        ["order", "solvable", "rational", "cut", "semirational", "qg_degree"]
-        + [f"check:{n}" for n in names]
-    )
-    writer.writerow(
-        [
-            report_dict["order"],
-            report_dict["solvable"],
-            report_dict["rational"],
-            report_dict["cut"],
-            report_dict["semirational"],
-            report_dict["qg_degree"],
-        ]
-        + [report_dict["checks"][n]["status"] for n in names]
-    )
-    return buf.getvalue()
-
-
 def cmd_analyze(args) -> int:
     try:
         G = _load_single_group(args)
@@ -178,14 +129,7 @@ def cmd_analyze(args) -> int:
         report = group_rationality(G, args.cap, args.checks)
     except CapExceeded as e:
         return _fail(str(e), 3)
-    report_dict = report.as_dict()
-    if args.format == "json":
-        text = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        text = _render_analysis_csv(report_dict)
-    else:
-        text = _render_analysis_text(report_dict)
-    _write(text, args.out)
+    write_output(render_analysis(report, args.format), args.out)
     return 0
 
 
@@ -196,7 +140,7 @@ def cmd_survey(args) -> int:
         return _fail(str(e), 2)
     config = SurveyConfig(cap=args.cap, checks=tuple(args.checks), workers=args.workers)
     report = run_survey(records, config, label=str(args.corpus))
-    emit_report(report, args.format, args.out)
+    write_output(render_report(report, args.format), args.out)
     if report.failures:
         print(
             f"cutgroups: {len(report.failures)} check failure(s) found",
@@ -211,11 +155,7 @@ def cmd_construct(args) -> int:
         G = parse_family_spec(args.family)
     except CutgroupsError as e:
         return _fail(str(e), 2)
-    lines = [f"group {args.family}", f"name {args.family}", f"degree {G.degree}"]
-    lines.extend(f"gen {format_permutation(g)}" for g in G.generators)
-    lines.append(f"order {G.order()}")
-    lines.append("end")
-    _write("\n".join(lines) + "\n", args.out)
+    write_output(render_record(args.family, G), args.out)
     return 0
 
 
@@ -230,23 +170,7 @@ def cmd_an_fields(args) -> int:
         }
         for n in range(4, args.max_n + 1)
     ]
-    if args.format == "json":
-        text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "exponent", "qg_degree"])
-        for row in rows:
-            writer.writerow([row["n"], row["exponent"], row["qg_degree"]])
-        text = buf.getvalue()
-    else:
-        lines = [f"{'n':>3}  {'exp(A_n)':>10}  {'deg Q(A_n)':>10}"]
-        lines.extend(
-            f"{row['n']:>3}  {row['exponent']:>10}  {row['qg_degree']:>10}"
-            for row in rows
-        )
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    write_output(render_an_fields(rows, args.format), args.out)
     return 0
 
 

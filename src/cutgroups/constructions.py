@@ -15,9 +15,16 @@ from .perm import Permutation
 from .structure import is_prime, prime_divisors
 
 
+def _bound_degree(family: str, degree: int) -> None:
+    """Refuse a family before any permutation of ``degree`` points is built."""
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"{family} degree {degree} exceeds {MAX_DEGREE}")
+
+
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise BadParam(f"cyclic group needs n >= 1, got {n}")
+    _bound_degree("cyclic", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)])
     images = [(i + 1) % n for i in range(n)]
@@ -32,6 +39,7 @@ def abelian(invariant_factors: list[int]) -> PermGroup:
     if not invariant_factors:
         return PermGroup(1, [Permutation.identity(1)])
     degree = sum(invariant_factors)
+    _bound_degree("abelian", degree)
     gens = []
     start = 0
     for f in invariant_factors:
@@ -47,6 +55,7 @@ def dihedral(n: int) -> PermGroup:
     """Dihedral group of order 2n acting on the n-gon's vertices."""
     if n < 3:
         raise BadParam(f"dihedral group needs n >= 3, got {n}")
+    _bound_degree("dihedral", n)
     rotation = Permutation([(i + 1) % n for i in range(n)])
     reflection = Permutation([(-i) % n for i in range(n)])
     return PermGroup(n, [rotation, reflection])
@@ -58,6 +67,7 @@ def dicyclic(m: int) -> PermGroup:
     if m < 2:
         raise BadParam(f"dicyclic group needs m >= 2, got {m}")
     size = 4 * m
+    _bound_degree("dicyclic", size)
 
     def index(i: int, j: int) -> int:
         return (i % (2 * m)) + 2 * m * (j % 2)
@@ -77,6 +87,7 @@ def dicyclic(m: int) -> PermGroup:
 def symmetric(n: int) -> PermGroup:
     if n < 1:
         raise BadParam(f"symmetric group needs n >= 1, got {n}")
+    _bound_degree("symmetric", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)])
     swap = Permutation.from_cycles([[1, 2]], n)
@@ -90,6 +101,7 @@ def alternating(n: int) -> PermGroup:
     """A_n from a 3-cycle and a long even cycle (choice depends on parity)."""
     if n < 3:
         raise BadParam(f"alternating group needs n >= 3, got {n}")
+    _bound_degree("alternating", n)
     three = Permutation.from_cycles([[1, 2, 3]], n)
     if n == 3:
         return PermGroup(3, [three])
@@ -201,15 +213,20 @@ def iterated_wreath(p: int, k: int) -> PermGroup:
     return W
 
 
-FAMILY_ARITIES = {
-    "cyclic": 1,
-    "abelian": 1,  # one comma-separated list
-    "dihedral": 1,
-    "dicyclic": 1,
-    "symmetric": 1,
-    "alternating": 1,
-    "sylnorm": 1,
-    "wreath-sylnorm": 2,
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# family -> (builder, one parser per parameter)
+FAMILIES = {
+    "cyclic": (cyclic, (int,)),
+    "abelian": (abelian, (_int_list,)),
+    "dihedral": (dihedral, (int,)),
+    "dicyclic": (dicyclic, (int,)),
+    "symmetric": (symmetric, (int,)),
+    "alternating": (alternating, (int,)),
+    "sylnorm": (sylnorm, (int,)),
+    "wreath-sylnorm": (iterated_wreath, (int, int)),
 }
 
 
@@ -220,36 +237,18 @@ def parse_family_spec(spec: str) -> PermGroup:
     symmetric:n, alternating:n, sylnorm:p, wreath-sylnorm:p:k (the iterated
     wreath tower of depth k).
     """
-    parts = spec.strip().split(":")
-    family = parts[0]
-    params = parts[1:]
-    if family not in FAMILY_ARITIES:
-        known = ", ".join(sorted(FAMILY_ARITIES))
+    family, *params = spec.strip().split(":")
+    if family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise BadParam(f"unknown family {family!r} (known: {known})")
-    if len(params) != FAMILY_ARITIES[family]:
+    build, parsers = FAMILIES[family]
+    if len(params) != len(parsers):
         raise BadParam(
-            f"family {family!r} takes {FAMILY_ARITIES[family]} parameter(s),"
+            f"family {family!r} takes {len(parsers)} parameter(s),"
             f" got {len(params)}"
         )
     try:
-        if family == "abelian":
-            factors = [int(x) for x in params[0].split(",")]
-        else:
-            numbers = [int(x) for x in params]
+        args = [parse(text) for parse, text in zip(parsers, params)]
     except ValueError:
         raise BadParam(f"non-integer parameter in {spec!r}") from None
-    if family == "cyclic":
-        return cyclic(numbers[0])
-    if family == "abelian":
-        return abelian(factors)
-    if family == "dihedral":
-        return dihedral(numbers[0])
-    if family == "dicyclic":
-        return dicyclic(numbers[0])
-    if family == "symmetric":
-        return symmetric(numbers[0])
-    if family == "alternating":
-        return alternating(numbers[0])
-    if family == "sylnorm":
-        return sylnorm(numbers[0])
-    return iterated_wreath(numbers[0], numbers[1])
+    return build(*args)

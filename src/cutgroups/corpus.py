@@ -21,8 +21,10 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     CapExceeded,
@@ -32,12 +34,13 @@ from .errors import (
     OrderMismatch,
 )
 from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
-from .perm import parse_permutation
-from .rationality import CHECKS, group_rationality
+from .perm import format_permutation, parse_permutation
+from .rationality import CHECKS, GroupReport, group_rationality
 from .structure import sylow
 
 # syl2 is informational: it fills the row's sylow2_cut, not a check result.
 ALL_CHECKS = tuple(CHECKS) + ("syl2",)
+FORMATS = ("json", "csv", "text")
 
 
 @dataclass
@@ -188,26 +191,20 @@ def _analyze_payload(payload: dict) -> dict:
     rid = payload["id"]
     degree = payload["degree"]
     cap = payload["cap"]
-    checks = payload["checks"]
     gens = [parse_permutation(t, degree) for t in payload["gens"]]
     G = PermGroup(degree, gens)
     try:
-        report = group_rationality(G, cap, [c for c in checks if c in CHECKS])
+        report = group_rationality(G, cap, payload["checks"])
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     sylow2_cut = None
-    if "syl2" in checks and report.is_cut:
+    if payload["syl2"] and report.is_cut:
         sylow2_cut = group_rationality(sylow(G, 2, cap).as_group, cap).is_cut
     return {
         "id": rid,
         "row": {
             "id": rid,
-            "order": report.order,
-            "solvable": report.solvable,
-            "rational": report.is_rational,
-            "cut": report.is_cut,
-            "semirational": report.is_semirational,
-            "qg_degree": report.qg_degree,
+            **report.summary(),
             "checks": {n: r.as_dict() for n, r in report.check_results.items()},
             "sylow2_cut": sylow2_cut,
         },
@@ -230,6 +227,8 @@ def run_survey(
     """Analyze every record; per-record cap overruns become skipped entries,
     never silent drops.  Row order is by record id regardless of workers."""
     config = config or SurveyConfig()
+    # every selected name but syl2 is a registry check
+    checks = tuple(c for c in config.checks if c != "syl2")
     ordered = sorted(records, key=lambda r: r.id)
     payloads = [
         {
@@ -237,7 +236,8 @@ def run_survey(
             "degree": r.degree,
             "gens": list(r.generator_texts),
             "cap": config.cap,
-            "checks": tuple(config.checks),
+            "checks": checks,
+            "syl2": "syl2" in config.checks,
         }
         for r in ordered
     ]
@@ -264,7 +264,7 @@ def run_survey(
                     {"id": row["id"], "check": name, "detail": result["detail"]}
                 )
 
-    aggregates = _aggregate(rows, config)
+    aggregates = _aggregate(rows, checks)
     return SurveyReport(
         corpus=label,
         config={
@@ -279,7 +279,7 @@ def run_survey(
     )
 
 
-def _aggregate(rows: list[dict], config: SurveyConfig) -> dict:
+def _aggregate(rows: list[dict], checks: tuple[str, ...]) -> dict:
     analyzed = len(rows)
     rational = sum(1 for r in rows if r["rational"])
     cut = sum(1 for r in rows if r["cut"])
@@ -289,9 +289,7 @@ def _aggregate(rows: list[dict], config: SurveyConfig) -> dict:
         return round(100.0 * n / analyzed, 2) if analyzed else 0.0
 
     check_counts = {}
-    for name in config.checks:
-        if name == "syl2":
-            continue
+    for name in checks:
         tally = {"PASS": 0, "FAIL": 0, "SKIP": 0}
         for row in rows:
             if name in row["checks"]:
@@ -313,55 +311,81 @@ def _aggregate(rows: list[dict], config: SurveyConfig) -> dict:
     }
 
 
-def render_report(report: SurveyReport, format: str) -> str:
+def _render(
+    format: str, payload: dict, table: tuple, text: Callable[[dict], str]
+) -> str:
+    """Encode one report: ``payload`` as JSON with sorted keys, ``table``
+    (columns, rows, check names) as CSV, or ``text(payload)``."""
     if format == "json":
-        return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if format == "csv":
-        return _render_csv(report)
+        return _csv_table(*table)
     if format == "text":
-        return _render_text(report)
+        return text(payload)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _render_csv(report: SurveyReport) -> str:
-    check_names = [c for c in report.config["checks"] if c != "syl2"]
+def _csv_table(columns, rows: list[dict], check_names) -> str:
+    """A header of ``columns`` then ``check:<name>`` columns, and one line
+    per row.  The csv module writes None as an empty cell; a check the row
+    lacks is an empty cell too."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = [
-        "id",
-        "order",
-        "solvable",
-        "rational",
-        "cut",
-        "semirational",
-        "qg_degree",
-        "sylow2_cut",
-    ] + [f"check:{c}" for c in check_names]
-    writer.writerow(header)
-    for row in report.rows:
+    writer.writerow([*columns, *(f"check:{c}" for c in check_names)])
+    for row in rows:
+        checks = row.get("checks", {})
         writer.writerow(
-            [
-                row["id"],
-                row["order"],
-                row["solvable"],
-                row["rational"],
-                row["cut"],
-                row["semirational"],
-                row["qg_degree"],
-                "" if row["sylow2_cut"] is None else row["sylow2_cut"],
-            ]
-            + [row["checks"].get(c, {}).get("status", "") for c in check_names]
+            [row[c] for c in columns]
+            + [checks[c]["status"] if c in checks else "" for c in check_names]
         )
     return buf.getvalue()
 
 
-def _render_text(report: SurveyReport) -> str:
-    agg = report.aggregates
+def render_analysis(report: GroupReport, format: str) -> str:
+    payload = report.as_dict()
+    table = (GroupReport.SUMMARY_FIELDS, [payload], list(payload["checks"]))
+    return _render(format, payload, table, _analysis_text)
+
+
+def render_an_fields(rows: list[dict], format: str) -> str:
+    table = (("n", "exponent", "qg_degree"), rows, ())
+    return _render(format, {"rows": rows}, table, _an_fields_text)
+
+
+def render_report(report: SurveyReport, format: str) -> str:
+    columns = ("id", *GroupReport.SUMMARY_FIELDS, "sylow2_cut")
+    # the tallied checks are the selected registry checks, in order
+    table = (columns, report.rows, list(report.aggregates["checks"]))
+    return _render(format, report.as_dict(), table, _survey_text)
+
+
+def _analysis_text(payload: dict) -> str:
+    lines = [f"{n + ':':15s}{payload[n]}" for n in GroupReport.SUMMARY_FIELDS]
+    lines.append(f"{'classes:':15s}{len(payload['classes'])}")
+    if payload["checks"]:
+        lines.append("checks:")
+        for name, result in payload["checks"].items():
+            lines.append(f"  {name:12s} {result['status']:4s} {result['detail']}")
+    return "\n".join(lines) + "\n"
+
+
+def _an_fields_text(payload: dict) -> str:
+    lines = [f"{'n':>3}  {'exp(A_n)':>10}  {'deg Q(A_n)':>10}"]
+    lines.extend(
+        f"{row['n']:>3}  {row['exponent']:>10}  {row['qg_degree']:>10}"
+        for row in payload["rows"]
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _survey_text(payload: dict) -> str:
+    agg = payload["aggregates"]
     lines = [
-        f"corpus: {report.corpus}",
+        f"corpus: {payload['corpus']}",
         f"analyzed {agg['analyzed']} groups"
-        f" (max order {agg['max_order_analyzed']}, cap {report.config['cap']}),"
-        f" {len(report.skipped)} skipped",
+        f" (max order {agg['max_order_analyzed']},"
+        f" cap {payload['config']['cap']}),"
+        f" {len(payload['skipped'])} skipped",
         "",
         f"  rational:       {agg['rational_count']:4d}  ({agg['rational_pct']}%)",
         f"  cut:            {agg['cut_count']:4d}  ({agg['cut_pct']}%)",
@@ -381,24 +405,33 @@ def _render_text(report: SurveyReport) -> str:
             + ", ".join(agg["cut_with_noncut_sylow2"])
         )
         lines.append("")
-    if report.failures:
+    if payload["failures"]:
         lines.append("FAILURES (potential counterexamples):")
-        for f in report.failures:
+        for f in payload["failures"]:
             lines.append(f"  {f['id']} [{f['check']}]: {f['detail']}")
         lines.append("")
-    if report.skipped:
+    if payload["skipped"]:
         lines.append("skipped:")
-        for s in report.skipped:
+        for s in payload["skipped"]:
             lines.append(f"  {s['id']}: {s['reason']}")
         lines.append("")
     return "\n".join(lines)
 
 
-def emit_report(report: SurveyReport, format: str, path: str | Path | None) -> None:
-    """Write a report in the given format; None writes to stdout."""
-    text = render_report(report, format)
+def render_record(rid: str, G: PermGroup) -> str:
+    """A one-record corpus for G, with its order, as parse_corpus reads it."""
+    lines = [f"group {rid}", f"name {rid}", f"degree {G.degree}"]
+    lines.extend(f"gen {format_permutation(g)}" for g in G.generators)
+    lines.append(f"order {G.order()}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def write_output(text: str, path: str | Path | None) -> None:
+    """Write ``text`` to ``path``, or to ``sys.stdout`` (looked up at call
+    time, so redirection applies) when path is None."""
     if path is None:
-        print(text, end="")
+        sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
 

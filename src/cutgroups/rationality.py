@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
 from .errors import BoundExceeded
 from .group import DEFAULT_CAP, PermGroup
+from .perm import invert_images
 from .structure import (
     ClassTable,
     Subgroup,
@@ -93,14 +94,26 @@ class GroupReport:
     class_reports: list[ClassRationality]
     check_results: dict[str, CheckResult] = field(default_factory=dict)
 
+    # the scalar verdicts, in the order of every report's table columns
+    SUMMARY_FIELDS: ClassVar[tuple[str, ...]] = (
+        "order", "solvable", "rational", "cut", "semirational", "qg_degree"
+    )
+
+    def summary(self) -> dict:
+        """The scalar verdicts keyed by SUMMARY_FIELDS."""
+        values = (
+            self.order,
+            self.solvable,
+            self.is_rational,
+            self.is_cut,
+            self.is_semirational,
+            self.qg_degree,
+        )
+        return dict(zip(self.SUMMARY_FIELDS, values))
+
     def as_dict(self) -> dict:
         return {
-            "order": self.order,
-            "solvable": self.solvable,
-            "rational": self.is_rational,
-            "cut": self.is_cut,
-            "semirational": self.is_semirational,
-            "qg_degree": self.qg_degree,
+            **self.summary(),
             "classes": [r.as_dict() for r in self.class_reports],
             "checks": {name: r.as_dict() for name, r in self.check_results.items()},
         }
@@ -232,13 +245,6 @@ def qg_degree(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
     return Analysis(G, cap).qg_degree
 
 
-def _inverse_images(images: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(images)
-    for i, j in enumerate(images):
-        out[j] = i
-    return tuple(out)
-
-
 def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """The definition verdict, element by element, with no class-table
     shortcuts: for every x and every k coprime to its order, search the full
@@ -252,7 +258,7 @@ def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
         if o <= 2:
             continue
         conjugates = {x.conjugate_by(g).images for g in elems}
-        targets = conjugates | {_inverse_images(im) for im in conjugates}
+        targets = conjugates | {invert_images(im) for im in conjugates}
         for k in range(2, o):
             if math.gcd(k, o) == 1 and (x ** k).images not in targets:
                 return False

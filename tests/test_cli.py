@@ -101,6 +101,69 @@ class TestAnalyze:
             cli.main(["analyze", "--family", "cyclic:6", "--cap", cap])
         assert exc.value.code == 2
 
+    # Byte-exact outputs; the JSON form is pinned by the benchmark's stored
+    # analyze reports and by criterion 14.
+    GOLDEN = {
+        ("sylnorm:5", "text"): (
+            "order:         20\n"
+            "solvable:      True\n"
+            "rational:      False\n"
+            "cut:           True\n"
+            "semirational:  True\n"
+            "qg_degree:     2\n"
+            "classes:       5\n"
+            "checks:\n"
+            "  bmp          PASS order 20 divisible by 2 or 3\n"
+            "  tent         PASS character field degree 2 vs bound 32\n"
+            "  gow_primes   SKIP needs a solvable rational group\n"
+            "  cut_primes   PASS prime divisors within {2, 3, 5, 7}\n"
+            "  hegedus      SKIP needs a solvable rational group\n"
+            "  ppe          PASS exp(P/P') of the order-1 Sylow 3-subgroup divides 3\n"
+            "  q3           PASS exp O_5 = 5; exp O_7 = 1\n"
+            "  sylow3       PASS Sylow 3-subgroup of order 1 is cut\n"
+            "  lemma61      PASS vacuous: no elements of 3-power order\n"
+        ),
+        ("sylnorm:5", "csv"): (
+            "order,solvable,rational,cut,semirational,qg_degree,check:bmp,"
+            "check:tent,check:gow_primes,check:cut_primes,check:hegedus,"
+            "check:ppe,check:q3,check:sylow3,check:lemma61\n"
+            "20,True,False,True,True,2,PASS,PASS,SKIP,PASS,SKIP,PASS,PASS,PASS,PASS\n"
+        ),
+        ("symmetric:4", "text"): (
+            "order:         24\n"
+            "solvable:      True\n"
+            "rational:      True\n"
+            "cut:           True\n"
+            "semirational:  True\n"
+            "qg_degree:     1\n"
+            "classes:       5\n"
+            "checks:\n"
+            "  bmp          PASS order 24 divisible by 2 or 3\n"
+            "  tent         PASS character field degree 1 vs bound 32\n"
+            "  gow_primes   PASS prime divisors within {2, 3, 5}\n"
+            "  cut_primes   PASS prime divisors within {2, 3, 5, 7}\n"
+            "  hegedus      PASS Sylow 5 order 1: normal=True, elementary abelian=True\n"
+            "  ppe          PASS exp(P/P') of the order-3 Sylow 3-subgroup divides 3\n"
+            "  q3           PASS exp O_5 = 1; exp O_7 = 1\n"
+            "  sylow3       PASS Sylow 3-subgroup of order 3 is cut\n"
+            "  lemma61      PASS 8 elements of 3-power order agree with the Sylow verdict\n"
+        ),
+        ("symmetric:4", "csv"): (
+            "order,solvable,rational,cut,semirational,qg_degree,check:bmp,"
+            "check:tent,check:gow_primes,check:cut_primes,check:hegedus,"
+            "check:ppe,check:q3,check:sylow3,check:lemma61\n"
+            "24,True,True,True,True,1,PASS,PASS,PASS,PASS,PASS,PASS,PASS,PASS,PASS\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("family,fmt", sorted(GOLDEN))
+    def test_golden_output(self, family, fmt, capsys):
+        code, out, err = run_cli(
+            ["analyze", "--family", family, "--format", fmt], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == self.GOLDEN[family, fmt]
+
 
 class TestSurvey:
     def corpus_file(self, tmp_path):
@@ -204,6 +267,54 @@ class TestSurvey:
         assert serial == parallel
 
 
+    def golden_corpus(self, tmp_path):
+        # non-cut c5 (empty sylow2_cut cell), cut s3, s4 over --cap 20
+        path = tmp_path / "golden.corpus"
+        path.write_text(
+            "group c5\ndegree 5\ngen (1 2 3 4 5)\nend\n"
+            "group s3\ndegree 3\ngen (1 2)\ngen (1 2 3)\nend\n"
+            "group s4\ndegree 4\ngen (1 2)\ngen (1 2 3 4)\nend\n"
+        )
+        return path
+
+    def test_golden_text(self, tmp_path, capsys):
+        path = self.golden_corpus(tmp_path)
+        code, out, err = run_cli(
+            ["survey", "--corpus", str(path), "--cap", "20",
+             "--checks", "bmp,syl2,lemma61", "--format", "text"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            f"corpus: {path}\n"
+            "analyzed 2 groups (max order 6, cap 20), 1 skipped\n"
+            "\n"
+            "  rational:          1  (50.0%)\n"
+            "  cut:               1  (50.0%)\n"
+            "  semirational:      1  (50.0%)\n"
+            "\n"
+            "check results (pass/fail/skip):\n"
+            "  bmp             1 /    0 /    1\n"
+            "  lemma61         2 /    0 /    0\n"
+            "\n"
+            "skipped:\n"
+            "  s4: group order 24 exceeds enumeration cap 20\n"
+        )
+
+    def test_golden_csv(self, tmp_path, capsys):
+        path = self.golden_corpus(tmp_path)
+        code, out, err = run_cli(
+            ["survey", "--corpus", str(path), "--cap", "20",
+             "--checks", "bmp,syl2,lemma61", "--format", "csv"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "id,order,solvable,rational,cut,semirational,qg_degree,sylow2_cut,"
+            "check:bmp,check:lemma61\n"
+            "c5,5,True,False,False,False,4,,SKIP,PASS\n"
+            "s3,6,True,True,True,True,1,True,PASS,PASS\n"
+        )
+
+
 class TestConstruct:
     def test_sylnorm_7(self, tmp_path, capsys):
         out_path = tmp_path / "f42.corpus"
@@ -268,6 +379,24 @@ class TestAnFields:
     def test_csv(self, capsys):
         code, out, _ = run_cli(["an-fields", "--max-n", "5", "--format", "csv"], capsys)
         assert out.splitlines()[0] == "n,exponent,qg_degree"
+
+
+    def test_golden_text(self, capsys):
+        code, out, err = run_cli(["an-fields", "--max-n", "6"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "  n    exp(A_n)  deg Q(A_n)\n"
+            "  4           6           2\n"
+            "  5          30           2\n"
+            "  6          60           2\n"
+        )
+
+    def test_golden_csv(self, capsys):
+        code, out, err = run_cli(
+            ["an-fields", "--max-n", "6", "--format", "csv"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == "n,exponent,qg_degree\n4,6,2\n5,30,2\n6,60,2\n"
 
 
 class TestConsoleScript:

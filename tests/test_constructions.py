@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cutgroups.errors import BadParam, DegreeTooLarge
-from cutgroups.group import trivial_group
+from cutgroups.group import MAX_DEGREE, trivial_group
 from cutgroups.rationality import group_rationality, is_cut_bruteforce
 from cutgroups.structure import exponent, is_solvable, normalizer, Subgroup, sylow
 from cutgroups.constructions import (
@@ -253,4 +253,18 @@ class TestFamilySpec:
     ])
     def test_bad_specs(self, spec):
         with pytest.raises(BadParam):
+            parse_family_spec(spec)
+
+    # one point over the bound (dicyclic acts on 4m points: the least m over);
+    # raised before any permutation is built, so the order is never asked
+    @pytest.mark.parametrize("spec", [
+        f"cyclic:{MAX_DEGREE + 1}",
+        f"abelian:2,{MAX_DEGREE - 1}",
+        f"dihedral:{MAX_DEGREE + 1}",
+        f"dicyclic:{MAX_DEGREE // 4 + 1}",
+        f"symmetric:{MAX_DEGREE + 1}",
+        f"alternating:{MAX_DEGREE + 1}",
+    ])
+    def test_degree_cap(self, spec):
+        with pytest.raises(DegreeTooLarge):
             parse_family_spec(spec)

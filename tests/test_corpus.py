@@ -13,7 +13,6 @@ from cutgroups.corpus import (
     GroupRecord,
     SurveyConfig,
     bundled_corpus_path,
-    emit_report,
     parse_corpus,
     render_report,
     run_survey,
@@ -229,11 +228,6 @@ class TestReports:
         report = run_survey([], SurveyConfig(checks=()))
         assert json.loads(render_report(report, "json"))["rows"] == []
         assert render_report(report, "csv").startswith("id,")
-
-    def test_emit_to_file(self, tmp_path):
-        out = tmp_path / "report.json"
-        emit_report(self.make_report(), "json", out)
-        assert json.loads(out.read_text())["corpus"] == "corpus"
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
