@@ -3,7 +3,8 @@
 Exit codes, kept stable for pipelines:
   0  success (survey: no check FAILed)
   1  a conjecture check FAILed during a survey -- a potential counterexample
-  2  input error (bad flags, unknown family, malformed file, out-of-range n)
+  2  input error (bad flags, unknown family, malformed file, out-of-range n,
+     an --out path that cannot be written)
   3  the group exceeds the enumeration cap (analyze only)
 
 Machine-format output goes to stdout (or --out); diagnostics go to stderr.
@@ -109,6 +110,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write(text: str, path: str | None) -> int:
+    """Write a command's output; an unwritable --out is an input error."""
+    try:
+        write_output(text, path)
+    except OSError as e:
+        return _fail(str(e), 2)
+    return 0
+
+
 def _load_single_group(args) -> PermGroup:
     if args.family is not None:
         return parse_family_spec(args.family)
@@ -129,8 +139,7 @@ def cmd_analyze(args) -> int:
         report = group_rationality(G, args.cap, args.checks)
     except CapExceeded as e:
         return _fail(str(e), 3)
-    write_output(render_analysis(report, args.format), args.out)
-    return 0
+    return _write(render_analysis(report, args.format), args.out)
 
 
 def cmd_survey(args) -> int:
@@ -140,7 +149,9 @@ def cmd_survey(args) -> int:
         return _fail(str(e), 2)
     config = SurveyConfig(cap=args.cap, checks=tuple(args.checks), workers=args.workers)
     report = run_survey(records, config, label=str(args.corpus))
-    write_output(render_report(report, args.format), args.out)
+    code = _write(render_report(report, args.format), args.out)
+    if code:
+        return code
     if report.failures:
         print(
             f"cutgroups: {len(report.failures)} check failure(s) found",
@@ -155,8 +166,7 @@ def cmd_construct(args) -> int:
         G = parse_family_spec(args.family)
     except CutgroupsError as e:
         return _fail(str(e), 2)
-    write_output(render_record(args.family, G), args.out)
-    return 0
+    return _write(render_record(args.family, G), args.out)
 
 
 def cmd_an_fields(args) -> int:
@@ -170,8 +180,7 @@ def cmd_an_fields(args) -> int:
         }
         for n in range(4, args.max_n + 1)
     ]
-    write_output(render_an_fields(rows, args.format), args.out)
-    return 0
+    return _write(render_an_fields(rows, args.format), args.out)
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,8 @@ Order and membership go through a deterministic stabilizer chain
 (base-and-strong-generators, smallest moved point first) built by
 incremental Schreier-Sims on image tuples, so they work far beyond the
 enumeration cap.  Full element lists use breadth-first closure
-over the generators, which fixes the element ordering that all downstream
-class indexing relies on.
+over the generators on image tuples, which fixes the element ordering that
+all downstream class indexing relies on.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import deque
 from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from .perm import Permutation, compose, invert_images, then_images
+from .perm import Permutation, invert_images, then_images
 
 DEFAULT_CAP = 100_000
 # Largest degree of a constructed family or a corpus record.
@@ -211,21 +211,16 @@ class PermGroup:
         if self._elements is None:
             with self._lock:
                 if self._elements is None:
-                    identity = Permutation.identity(self.degree)
-                    seen = {identity.images}
-                    out = [identity]
-                    frontier = [identity]
-                    while frontier:
-                        next_frontier = []
-                        for p in frontier:
-                            for g in self.generators:
-                                q = compose(p, g)
-                                if q.images not in seen:
-                                    seen.add(q.images)
-                                    out.append(q)
-                                    next_frontier.append(q)
-                        frontier = next_frontier
-                    self._elements = out
+                    gens = [g.images for g in self.generators]
+                    out = [tuple(range(self.degree))]
+                    seen = set(out)
+                    for p in out:  # grows while it is walked: layer by layer
+                        for g in gens:
+                            q = then_images(p, g)
+                            if q not in seen:
+                                seen.add(q)
+                                out.append(q)
+                    self._elements = [Permutation._trusted(q) for q in out]
         return self._elements
 
     def base_points(self) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
@@ -124,6 +124,13 @@ def residues_coprime(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
 
 
+@lru_cache(maxsize=256)
+def _units(n: int) -> tuple[int, ...]:
+    """residues_coprime(n) as a tuple, computed once per n: every class of
+    one order, and every table of one exponent, shares it."""
+    return tuple(residues_coprime(n))
+
+
 def _norm_residue(k: int, n: int) -> int:
     """Representative of k mod n in [1, n]."""
     return (k % n) or n
@@ -132,14 +139,13 @@ def _norm_residue(k: int, n: int) -> int:
 def class_stabilizer(table: ClassTable, c: int) -> frozenset[int]:
     """Units k mod the rep order with rep**k in the same class."""
     o = table.rep_orders[c]
-    return frozenset(
-        k for k in residues_coprime(o) if table.power_class(c, k) == c
-    )
+    row = table.power_map[c]
+    return frozenset(k for k in _units(o) if row[k % o] == c)
 
 
 def classify_class(table: ClassTable, c: int) -> ClassRationality:
     o = table.rep_orders[c]
-    units = residues_coprime(o)
+    units = _units(o)
     stab = class_stabilizer(table, c)
     degree = len(units) // len(stab)
     is_real = o <= 2 or (o - 1) in stab
@@ -150,7 +156,8 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
         stabilizer=tuple(sorted(stab)),
         stabilizer_index=degree,
         is_rational=len(stab) == len(units),
-        is_inverse_semirational=inverse_closure == set(units),
+        # inverse_closure is a set of units, so equal sizes mean all units
+        is_inverse_semirational=len(inverse_closure) == len(units),
         is_semirational=degree <= 2,
         is_real=is_real,
         field_degree=degree,
@@ -190,7 +197,7 @@ class Analysis:
     def qg_degree(self) -> int:
         """Index of the global power-map stabilizer in the units mod exp(G)."""
         table = self.table
-        units = residues_coprime(math.lcm(*table.rep_orders))
+        units = _units(math.lcm(*table.rep_orders))
         fixed = [
             k
             for k in units

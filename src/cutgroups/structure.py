@@ -3,7 +3,11 @@ derived series, exponents.
 
 All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
-solvability) work beyond it.
+solvability) work beyond it.  The class sweep conjugates 0-based image
+tuples and makes a Permutation only for each class representative; the
+power map computes a row by successive products only for a class that is
+not a power of an earlier one, so at most one row per Galois orbit of
+classes, and derives every other row from it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 
 from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, PermGroup
-from .perm import Permutation, commutator, compose
+from .perm import Permutation, commutator, compose, invert_images, then_images
 
 
 def is_prime(n: int) -> bool:
@@ -62,6 +66,13 @@ class ClassTable:
 
     reps[0] is always the identity class; power_map[c][k] is the class of
     reps[c] ** k for k in 0..rep_orders[c]-1.
+
+    Only a class c whose row is not known yet gets its row by successive
+    products of image tuples, up to the identity, which also gives the
+    rep's order o.  Every class d = row[k] then gets its row from that one:
+    reps[d] is conjugate to reps[c] ** k, so reps[d] ** j lies in the class
+    row[k*j mod o].  In particular the units k derive the rows of c's whole
+    Galois orbit, so at most one row per orbit is computed.
     """
 
     def __init__(
@@ -75,15 +86,24 @@ class ClassTable:
         self.reps = reps
         self.sizes = sizes
         self.class_of = class_of
-        self.rep_orders = [r.order() for r in reps]
-        self.power_map: list[list[int]] = []
-        for rep, o in zip(reps, self.rep_orders):
-            x = Permutation.identity(rep.degree)
-            row = []
-            for _ in range(o):
-                row.append(class_of[x.images])
-                x = compose(x, rep)
-            self.power_map.append(row)
+        identity = reps[0].images
+        rows: list[list[int] | None] = [None] * len(reps)
+        for c, rep in enumerate(reps):
+            if rows[c] is not None:
+                continue
+            x = images = rep.images
+            row = [0]
+            while x != identity:
+                row.append(class_of[x])
+                x = then_images(x, images)
+            rows[c] = row
+            o = len(row)
+            for k in range(2, o):
+                d = row[k]
+                if rows[d] is None:
+                    rows[d] = [row[k * j % o] for j in range(o // math.gcd(k, o))]
+        self.power_map: list[list[int]] = rows
+        self.rep_orders = [len(row) for row in rows]
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -106,28 +126,31 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     order = G.order()
     if order > cap:
         raise CapExceeded(order, cap)
-    elems = G.elements(cap)
+    gens = _conjugating_pairs(G)
     class_of: dict[tuple[int, ...], int] = {}
     reps: list[Permutation] = []
     sizes: list[int] = []
-    for x in elems:
+    for x in G.elements(cap):
         if x.images in class_of:
             continue
         idx = len(reps)
         class_of[x.images] = idx
-        size = 1
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in G.generators:
-                z = y.conjugate_by(g)
-                if z.images not in class_of:
-                    class_of[z.images] = idx
-                    size += 1
-                    queue.append(z)
+        members = [x.images]
+        for y in members:  # grows while it is walked: the breadth-first queue
+            for g_inv, g in gens:
+                z = then_images(then_images(g_inv, y), g)
+                if z not in class_of:
+                    class_of[z] = idx
+                    members.append(z)
         reps.append(x)
-        sizes.append(size)
+        sizes.append(len(members))
     return ClassTable(G, reps, sizes, class_of)
+
+
+def _conjugating_pairs(G: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(g⁻¹, g) image tuples of every generator: y ** g is
+    then_images(then_images(g⁻¹, y), g)."""
+    return [(invert_images(g.images), g.images) for g in G.generators]
 
 
 def are_conjugate(
@@ -151,18 +174,17 @@ def class_conjugators(
     G: PermGroup, rep: Permutation
 ) -> dict[tuple[int, ...], Permutation]:
     """Map each member y of rep's class to a conjugator u with rep ** u = y."""
-    identity = Permutation.identity(G.degree)
-    out = {rep.images: identity}
-    queue = deque([(rep, identity)])
-    while queue:
-        y, u = queue.popleft()
-        for g in G.generators:
-            z = y.conjugate_by(g)
-            if z.images not in out:
-                w = compose(u, g)
-                out[z.images] = w
-                queue.append((z, w))
-    return out
+    gens = _conjugating_pairs(G)
+    conjugator = {rep.images: tuple(range(G.degree))}
+    members = [rep.images]
+    for y in members:  # the breadth-first queue
+        u = conjugator[y]
+        for g_inv, g in gens:
+            z = then_images(then_images(g_inv, y), g)
+            if z not in conjugator:
+                conjugator[z] = then_images(u, g)
+                members.append(z)
+    return {y: Permutation._trusted(u) for y, u in conjugator.items()}
 
 
 class Subgroup:
@@ -205,19 +227,10 @@ def _reduce_to_generators(
     return gens
 
 
-def _normalizer_members(
-    G: PermGroup, H: PermGroup, cap: int
-) -> list[Permutation]:
-    """Elements of G normalizing H, in G's enumeration order.
-
-    g normalizes H iff every generator of H conjugates into H (the conjugate
-    subgroup has the same order, so containment forces equality).
-    """
-    out = []
-    for g in G.elements(cap):
-        if all(H.contains(h.conjugate_by(g)) for h in H.generators):
-            out.append(g)
-    return out
+def _normalizes(g: Permutation, H: PermGroup) -> bool:
+    """g normalizes H iff every generator of H conjugates into H (the
+    conjugate subgroup has the same order, so containment forces equality)."""
+    return all(H.contains(h.conjugate_by(g)) for h in H.generators)
 
 
 def normalizer(G: PermGroup, H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -225,7 +238,8 @@ def normalizer(G: PermGroup, H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
     order = G.order()
     if order > cap:
         raise CapExceeded(order, cap)
-    members = _normalizer_members(G, H.as_group, cap)
+    K = H.as_group
+    members = [g for g in G.elements(cap) if _normalizes(g, K)]
     return Subgroup(G, _reduce_to_generators(G.degree, members))
 
 
@@ -234,9 +248,11 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
 
     Start from the p-part of the first element of order divisible by p;
     while the subgroup is smaller than the p-part of |G|, adjoin the p-part
-    of the first normalizer element that lands outside it.  Deterministic
-    because every scan follows the enumeration order.  Returns the trivial
-    subgroup when p does not divide |G|.
+    of the first normalizer element that lands outside it.  Each growth
+    step scans the enumeration lazily and stops at that element, never
+    listing the whole normalizer.  Deterministic because every scan follows
+    the enumeration order.  Returns the trivial subgroup when p does not
+    divide |G|.
     """
     if not is_prime(p):
         raise BadParam(f"p must be prime, got {p}")
@@ -255,10 +271,12 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
             break
     P = PermGroup(G.degree, gens)
     while P.order() < target:
-        for y in _normalizer_members(G, P, cap):
+        for y in elems:
             o = y.order()
+            if o % p or not _normalizes(y, P):
+                continue  # a p'-element's p-part is the identity
             z = y ** (o // p_part(o, p))
-            if not z.is_identity() and not P.contains(z):
+            if not P.contains(z):
                 gens.append(z)
                 P = PermGroup(G.degree, gens)
                 break

@@ -408,3 +408,25 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["cut"] is True
+
+
+class TestUnwritableOut:
+    # exit 1 is kept for a check FAIL; a path that cannot be written is an
+    # input error: exit 2 and one line on stderr
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--family", "cyclic:4"],
+        ["survey", "--corpus", "{corpus}"],
+        ["construct", "--family", "cyclic:4"],
+        ["an-fields", "--max-n", "5"],
+    ], ids=["analyze", "survey", "construct", "an-fields"])
+    def test_exit_two_with_one_line(self, command, tmp_path, capsys):
+        corpus = tmp_path / "c3.corpus"
+        corpus.write_text("group c3\ndegree 3\ngen (1 2 3)\nend\n")
+        out_path = tmp_path / "missing-dir" / "x.txt"
+        argv = [a.format(corpus=corpus) for a in command] + ["--out", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("cutgroups: ") and str(out_path) in err
+        assert "Traceback" not in err

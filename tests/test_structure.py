@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, CapExceeded
 from cutgroups.group import PermGroup
 from cutgroups.perm import Permutation, commutator, compose, parse_permutation
@@ -28,8 +31,80 @@ from cutgroups.constructions import (
     cyclic,
     dicyclic,
     dihedral,
+    sylnorm,
     symmetric,
 )
+
+
+def bundled_group(record_id):
+    record = next(r for r in parse_corpus(bundled_corpus_path()) if r.id == record_id)
+    return record.build_group()
+
+
+def successive_product_rows(T):
+    """Oracle for ClassTable.power_map: each class's row by successive
+    compose products from the identity, o of them, with o read from the
+    rep's cycles, as the table was built before rows were derived."""
+    rows = []
+    for rep in T.reps:
+        x = Permutation.identity(rep.degree)
+        row = []
+        for _ in range(rep.order()):
+            row.append(T.class_index(x))
+            x = compose(x, rep)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def small_groups(draw):
+    """A small family group, or 1-3 random generators of degree 2-6."""
+    kind = draw(st.sampled_from(["cyclic", "dicyclic", "sylnorm", "random"]))
+    if kind == "cyclic":
+        return cyclic(draw(st.integers(1, 40)))
+    if kind == "dicyclic":
+        return dicyclic(draw(st.integers(2, 8)))
+    if kind == "sylnorm":
+        return sylnorm(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))
+    n = draw(st.integers(2, 6))
+    gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=3))
+    return PermGroup(n, [Permutation(g) for g in gens])
+
+
+def normalizer_members(G, H, cap):
+    """Elements of G normalizing the PermGroup H, in G's enumeration order:
+    the whole list, as the eager Sylow scan built it at every step."""
+    return [
+        g for g in G.elements(cap)
+        if all(H.contains(h.conjugate_by(g)) for h in H.generators)
+    ]
+
+
+def eager_sylow_gens(G, p, cap=100_000):
+    """Oracle for sylow's generators: normalizer growth where every step
+    lists the whole normalizer of P, then adjoins the p-part of its first
+    element whose p-part lies outside P."""
+    target = p_part(G.order(), p)
+    if target == 1:
+        return [Permutation.identity(G.degree)]
+    gens = []
+    for x in G.elements(cap):
+        o = x.order()
+        if o % p == 0:
+            gens.append(x ** (o // p_part(o, p)))
+            break
+    P = PermGroup(G.degree, gens)
+    while P.order() < target:
+        for y in normalizer_members(G, P, cap):
+            o = y.order()
+            z = y ** (o // p_part(o, p))
+            if not z.is_identity() and not P.contains(z):
+                gens.append(z)
+                P = PermGroup(G.degree, gens)
+                break
+        else:
+            raise AssertionError("normalizer growth stalled below the p-part")
+    return gens
 
 
 def brute_classes(G):
@@ -189,6 +264,20 @@ class TestPowerClass:
                 assert T.power_class(c, k) == T.class_index(rep ** k), (c, k)
 
 
+class TestDerivedPowerRows:
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups())
+    def test_rows_match_successive_products(self, G):
+        T = conjugacy_classes(G)
+        assert T.power_map == successive_product_rows(T)
+        assert T.rep_orders == [rep.order() for rep in T.reps]
+
+    def test_bundled_wreath_sylnorm(self):
+        T = conjugacy_classes(bundled_group("wreath-sylnorm-3-2"))
+        assert T.power_map == successive_product_rows(T)
+        assert T.rep_orders == [rep.order() for rep in T.reps]
+
+
 class TestClassConjugators:
     def test_conjugator_words_valid(self):
         G = symmetric(4)
@@ -254,6 +343,22 @@ class TestSylow:
         G2 = PermGroup(4, list(symmetric(4).generators))
         b = sylow(G2, 2)
         assert [g.images for g in a.gens] == [g.images for g in b.gens]
+
+
+class TestSylowAgainstEagerScan:
+    def test_bundled_groups_up_to_2000(self):
+        # the generators feed the sylow3 FAIL text, so the lazy scan must
+        # pick exactly the eager scan's elements
+        checked = 0
+        for record in parse_corpus(bundled_corpus_path()):
+            G = record.build_group()
+            if G.order() > 2000:
+                continue
+            for p in prime_divisors(G.order()):
+                expected = [g.images for g in eager_sylow_gens(G, p)]
+                assert [g.images for g in sylow(G, p).gens] == expected, (record.id, p)
+                checked += 1
+        assert checked > 100
 
 
 class TestPCore:
