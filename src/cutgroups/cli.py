@@ -147,6 +147,13 @@ def cmd_survey(args) -> int:
         records = parse_corpus(args.corpus)
     except (CutgroupsError, OSError) as e:
         return _fail(str(e), 2)
+    if args.out is not None:
+        # find an unwritable --out now, not after the whole survey has run;
+        # append mode leaves an existing file as it is until the report
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as e:
+            return _fail(str(e), 2)
     config = SurveyConfig(cap=args.cap, checks=tuple(args.checks), workers=args.workers)
     report = run_survey(records, config, label=str(args.corpus))
     code = _write(render_report(report, args.format), args.out)

@@ -106,8 +106,14 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
     current: dict | None = None
     gen_lines: list[tuple[int, str]] = []
 
-    with path.open(encoding="utf-8") as handle:
+    # undecodable bytes reach the loop as lone surrogates, so the error can
+    # name their line
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusSyntaxError(line_no, "not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -139,6 +145,7 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
                     current["order"] = int(rest)
                 except ValueError:
                     raise CorpusSyntaxError(line_no, f"bad order {rest!r}") from None
+                current["order_line"] = line_no
             elif key == "tags":
                 current["tags"] = [t.strip() for t in rest.split(",") if t.strip()]
             elif key == "end":
@@ -182,7 +189,9 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
     if record.expected_order is not None:
         actual = record.group.order()
         if actual != record.expected_order:
-            raise OrderMismatch(record.id, record.expected_order, actual)
+            raise OrderMismatch(
+                record.id, record.expected_order, actual, current["order_line"]
+            )
     return record
 
 

@@ -71,10 +71,13 @@ class DuplicateId(CorpusError):
 
 
 class OrderMismatch(CorpusError):
-    """A record's declared order disagrees with the computed group order."""
+    """A record's declared order disagrees with the computed group order;
+    carries the line number of the ``order`` line."""
 
-    def __init__(self, record_id: str, expected: int, actual: int):
+    def __init__(self, record_id: str, expected: int, actual: int, line_no: int):
         super().__init__(
-            f"record {record_id!r}: declared order {expected}, computed {actual}"
+            f"line {line_no}: record {record_id!r}:"
+            f" declared order {expected}, computed {actual}"
         )
         self.record_id = record_id
+        self.line_no = line_no

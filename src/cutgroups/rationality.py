@@ -136,6 +136,24 @@ def _norm_residue(k: int, n: int) -> int:
     return (k % n) or n
 
 
+def _field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:
+    """Index of the common stabilizer of all classes under k -> class(rep**k),
+    given each class's (rep order o, units k mod o with rep**k in the class).
+    Rational classes (every unit mod o) are dropped, and the rest are checked
+    over the units mod the lcm L of their orders.  Those units are not put
+    in the _units cache, which holds the units of class orders only.
+    """
+    distinct = {(o, frozenset(stab)) for o, stab in pairs}
+    conditions = [
+        (o, stab) for o, stab in distinct if len(stab) < len(residues_coprime(o))
+    ]
+    units = residues_coprime(math.lcm(*(o for o, _ in conditions)))
+    fixed = sum(
+        all(_norm_residue(k, o) in stab for o, stab in conditions) for k in units
+    )
+    return len(units) // fixed
+
+
 def class_stabilizer(table: ClassTable, c: int) -> frozenset[int]:
     """Units k mod the rep order with rep**k in the same class."""
     o = table.rep_orders[c]
@@ -195,15 +213,10 @@ class Analysis:
 
     @cached_property
     def qg_degree(self) -> int:
-        """Index of the global power-map stabilizer in the units mod exp(G)."""
-        table = self.table
-        units = _units(math.lcm(*table.rep_orders))
-        fixed = [
-            k
-            for k in units
-            if all(table.power_class(c, k) == c for c in range(len(table)))
-        ]
-        return len(units) // len(fixed)
+        """Index of the global power-map stabilizer, read from the class
+        stabilizers: taken over the units mod the lcm of the non-rational
+        class orders, it equals the index in the units mod exp(G)."""
+        return _field_degree((r.element_order, r.stabilizer) for r in self.classes)
 
     @cached_property
     def report(self) -> GroupReport:
@@ -247,8 +260,11 @@ def group_rationality(
 
 
 def qg_degree(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
-    """Degree of the field generated by all character-table entries, via the
-    index of the global power-map stabilizer in the units mod exp(G)."""
+    """Degree of the field generated by all character-table entries: the
+    index of the global power-map stabilizer, taken over the units mod the
+    lcm L of the non-rational class orders.  L divides exp(G), and reduction
+    mod L maps the units mod exp(G) onto the units mod L with fibres of one
+    size, so this is the index in the units mod exp(G)."""
     return Analysis(G, cap).qg_degree
 
 
@@ -273,30 +289,21 @@ def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
 
 
 def qg_degree_alternating(n: int, bound: int = 14) -> int:
-    """Same fixed-group computation as qg_degree, but over the alternating
-    class descriptors, never enumerating A_n."""
+    """Same field degree as qg_degree, but from the alternating class
+    descriptors, never enumerating A_n.  Non-split classes are rational, so
+    only the split ones constrain k, and the index is taken over the units
+    mod the lcm of their orders instead of mod exp(A_n)."""
     if not 3 <= n <= bound:
         raise BoundExceeded(f"n={n} outside supported range 3..{bound}")
-    descriptors = alternating_classes(n)
-    exp = 1
-    for d in descriptors:
-        exp = math.lcm(exp, d.rep_order)
     split_stabs = []
-    for d in descriptors:
-        if not d.splits:
-            continue
-        o = d.rep_order
-        stab = {
-            j for j in residues_coprime(o) if alternating_power_conjugate(d, j)
-        }
-        split_stabs.append((o, stab))
-    units = residues_coprime(exp)
-    fixed = [
-        k
-        for k in units
-        if all(_norm_residue(k, o) in stab for o, stab in split_stabs)
-    ]
-    return len(units) // len(fixed)
+    for d in alternating_classes(n):
+        if d.splits:
+            o = d.rep_order
+            stab = [
+                k for k in residues_coprime(o) if alternating_power_conjugate(d, k)
+            ]
+            split_stabs.append((o, stab))
+    return _field_degree(split_stabs)
 
 
 def _is_power_of(n: int, p: int) -> bool:

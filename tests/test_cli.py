@@ -430,3 +430,34 @@ class TestUnwritableOut:
         assert err.count("\n") == 1
         assert err.startswith("cutgroups: ") and str(out_path) in err
         assert "Traceback" not in err
+
+
+def test_survey_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    from cutgroups import corpus
+
+    def no_survey(*args, **kwargs):
+        raise AssertionError("run_survey called for an unwritable --out")
+
+    # cli holds its own binding of run_survey; patch both
+    monkeypatch.setattr(corpus, "run_survey", no_survey)
+    monkeypatch.setattr(cli, "run_survey", no_survey)
+    path = tmp_path / "c3.corpus"
+    path.write_text("group c3\ndegree 3\ngen (1 2 3)\nend\n")
+    out_path = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli(
+        ["survey", "--corpus", str(path), "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("cutgroups: ") and str(out_path) in err
+    assert "Traceback" not in err
+
+
+def test_survey_non_utf8_corpus_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.corpus"
+    path.write_bytes("group g\nname Gödel\ndegree 2\ngen (1 2)\nend\n".encode("latin-1"))
+    code, out, err = run_cli(["survey", "--corpus", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "cutgroups: line 2: not UTF-8 text\n"

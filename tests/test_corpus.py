@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutgroups
 from cutgroups import corpus
@@ -14,11 +17,18 @@ from cutgroups.corpus import (
     SurveyConfig,
     bundled_corpus_path,
     parse_corpus,
+    render_record,
     render_report,
     run_survey,
 )
-from cutgroups.errors import CorpusSyntaxError, DuplicateId, OrderMismatch
-from cutgroups.perm import format_permutation
+from cutgroups.errors import (
+    CorpusSyntaxError,
+    CutgroupsError,
+    DuplicateId,
+    OrderMismatch,
+)
+from cutgroups.group import PermGroup
+from cutgroups.perm import Permutation, format_permutation
 from cutgroups.constructions import cyclic, symmetric
 
 
@@ -232,3 +242,111 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_report(self.make_report(), "xml")
+
+
+# ids and names: letters and digits of any script, never whitespace or '#'
+corpus_ids = st.text(
+    alphabet=st.one_of(
+        st.characters(whitelist_categories=("L", "N")), st.sampled_from("-_.:")
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@st.composite
+def corpus_groups(draw):
+    """1-3 random small groups with distinct ids."""
+    ids = draw(st.lists(corpus_ids, min_size=1, max_size=3, unique=True))
+    groups = []
+    for rid in ids:
+        n = draw(st.integers(1, 7))
+        gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=3))
+        groups.append((rid, PermGroup(n, [Permutation(g) for g in gens])))
+    return groups
+
+
+# text that never spells a number, so a mutated degree stays small
+junk = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=20),
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["(1 2", "(0 1)", "(1 1)", "(x y)", "(1)(2 3)", "1 2", "()()"]),
+)
+mutations = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 50)),
+    st.tuples(
+        st.sampled_from(["replace", "insert"]),
+        st.integers(0, 50),
+        st.sampled_from(["group", "name", "degree", "gen", "order", "tags", "end", ""]),
+        junk,
+    ),
+)
+
+
+def assert_names_a_line(path):
+    """parse_corpus accepts the file, or rejects it with a CutgroupsError
+    that names a line; any other exception fails the test."""
+    try:
+        parse_corpus(path)
+    except CutgroupsError as e:
+        assert re.search(r"\bline \d+\b", str(e)), str(e)
+
+
+class TestParseCorpusProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus_groups())
+    def test_render_parse_round_trip(self, tmp_path_factory, groups):
+        path = tmp_path_factory.mktemp("rt") / "groups.corpus"
+        path.write_text("".join(render_record(rid, G) for rid, G in groups), "utf-8")
+        records = parse_corpus(path)
+        assert [r.id for r in records] == [rid for rid, _ in groups]
+        for record, (rid, G) in zip(records, groups):
+            assert record.name == rid
+            assert record.degree == G.degree
+            assert [g.images for g in record.group.generators] == [
+                g.images for g in G.generators
+            ]
+            assert record.expected_order == record.group.order() == G.order()
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus_groups(), st.lists(mutations, min_size=1, max_size=3))
+    def test_malformed_lines_name_a_line(self, tmp_path_factory, groups, edits):
+        lines = "".join(render_record(rid, G) for rid, G in groups).splitlines()
+        for edit in edits:
+            i = edit[1] % (len(lines) + 1)
+            if edit[0] == "delete":
+                del lines[i:i + 1]
+            else:
+                line = f"{edit[2]} {edit[3]}"
+                lines[i:i + (edit[0] == "replace")] = [line]
+        path = tmp_path_factory.mktemp("bad") / "bad.corpus"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        assert_names_a_line(path)
+
+    @pytest.mark.parametrize("text,fragment", [
+        ("group g\ndegree 3\ngen (1 2)\n", "line 1: record missing 'end'"),
+        ("group g\ndegree 3\ngen (1 2\nend\n", "line 3:"),
+        ("group g\ndegree 3\ngen (1 é)\nend\n", "line 3:"),
+        ("group g\ndegree 3\ngen (1 2)\norder 3\nend\n", "line 4:"),
+        ("group a\ndegree 2\ngen (1 2)\nend\ngroup a\nend\n", "line 5"),
+        ("group Ж\ndegree ٣\ngen (1 2)\nend\ngroup Ж\nend\n", "line 5"),
+    ])
+    def test_malformed_examples(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.corpus"
+        path.write_text(text, "utf-8")
+        with pytest.raises(CutgroupsError) as exc:
+            parse_corpus(path)
+        assert fragment in str(exc.value)
+
+    def test_hash_inside_a_name_starts_a_comment(self, tmp_path):
+        path = tmp_path / "hash.corpus"
+        path.write_text("group g#1\nname C#2 cyclic\ndegree 2\ngen (1 2)\nend\n")
+        (record,) = parse_corpus(path)
+        assert (record.id, record.name) == ("g", "C")
+
+    def test_non_utf8_text_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.corpus"
+        path.write_bytes("group g\nname Gödel\ndegree 2\ngen (1 2)\nend\n".encode("latin-1"))
+        with pytest.raises(CorpusSyntaxError) as exc:
+            parse_corpus(path)
+        assert exc.value.line_no == 2

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutgroups.alternating import alternating_classes, alternating_power_conjugate
+from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BoundExceeded
 from cutgroups.group import PermGroup
-from cutgroups.perm import parse_permutation
+from cutgroups.perm import Permutation, parse_permutation
 from cutgroups import rationality
 from cutgroups.group import DEFAULT_CAP
 from cutgroups import perm
@@ -14,6 +18,7 @@ from cutgroups.rationality import (
     Analysis,
     PASS,
     SKIP,
+    _field_degree,
     class_stabilizer,
     classify_class,
     conjecture_suite,
@@ -332,3 +337,99 @@ def test_classification_does_no_power_work_after_the_table(G, monkeypatch):
     monkeypatch.setattr(perm, "power", no_power)
     assert [classify_class(table, c) for c in range(len(table))]
     assert analysis.qg_degree >= 1
+
+
+# Oracles for the field-degree kernel: the two exponent-wide loops it
+# replaced, over every unit mod the exponent.
+def qg_degree_exponent_wide(G):
+    table = conjugacy_classes(G)
+    units = residues_coprime(math.lcm(*table.rep_orders))
+    fixed = [
+        k
+        for k in units
+        if all(table.power_class(c, k) == c for c in range(len(table)))
+    ]
+    return len(units) // len(fixed)
+
+
+def qg_degree_alternating_exponent_wide(n):
+    descriptors = alternating_classes(n)
+    exp = 1
+    for d in descriptors:
+        exp = math.lcm(exp, d.rep_order)
+    split_stabs = []
+    for d in descriptors:
+        if not d.splits:
+            continue
+        o = d.rep_order
+        stab = {
+            j for j in residues_coprime(o) if alternating_power_conjugate(d, j)
+        }
+        split_stabs.append((o, stab))
+    units = residues_coprime(exp)
+    fixed = [
+        k
+        for k in units
+        if all(((k % o) or o) in stab for o, stab in split_stabs)
+    ]
+    return len(units) // len(fixed)
+
+
+@st.composite
+def random_small_groups(draw):
+    """1-3 random generators of degree 2-7."""
+    n = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=3))
+    return PermGroup(n, [Permutation(g) for g in gens])
+
+
+class TestFieldDegreeKernel:
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_alternating_matches_exponent_wide(self, n):
+        assert qg_degree_alternating(n) == qg_degree_alternating_exponent_wide(n)
+
+    def test_bundled_groups_match_exponent_wide(self):
+        records = [
+            r for r in parse_corpus(bundled_corpus_path()) if r.group.order() <= 2000
+        ]
+        assert len(records) > 100
+        for r in records:
+            assert qg_degree(r.group) == qg_degree_exponent_wide(r.group), r.id
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_small_groups())
+    def test_random_groups_match_exponent_wide(self, G):
+        assert qg_degree(G) == qg_degree_exponent_wide(G)
+
+    def test_trivial_group(self):
+        from cutgroups.group import trivial_group
+
+        assert _field_degree([]) == 1
+        assert _field_degree([(1, (1,))]) == 1
+        assert qg_degree(trivial_group(1)) == 1
+
+    def test_all_classes_rational(self):
+        classes = Analysis(symmetric(5)).classes
+        assert all(r.is_rational for r in classes)
+        assert _field_degree((r.element_order, r.stabilizer) for r in classes) == 1
+
+    def test_one_condition(self):
+        # C_61: every non-identity class is fixed only by k = 1 mod 61
+        assert _field_degree([(61, (1,))]) == 60
+        assert qg_degree(cyclic(61)) == 60
+
+    def test_q8(self):
+        assert qg_degree(dicyclic(2)) == 1
+        assert qg_degree_exponent_wide(dicyclic(2)) == 1
+
+    def test_duplicate_pairs(self):
+        once = [(5, (1, 4)), (3, (1,))]
+        assert _field_degree(once) == 4
+        assert _field_degree(once + [(5, [4, 1]), (3, {1}), (5, (1, 4))]) == 4
+
+    def test_alternating_keeps_units_out_of_the_cache(self):
+        # cleared first, so that an earlier test cannot have cached them
+        rationality._units.cache_clear()
+        before = rationality._units.cache_info().currsize
+        assert qg_degree_alternating(14) == qg_degree_alternating_exponent_wide(14)
+        assert rationality._units.cache_info().currsize == before
