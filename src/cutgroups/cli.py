@@ -6,6 +6,8 @@ Exit codes, kept stable for pipelines:
   2  input error (bad flags, unknown family, malformed file, out-of-range n,
      an --out path that cannot be written)
   3  the group exceeds the enumeration cap (analyze only)
+  4  a survey finished, but some records raised an error and are listed
+     under "errors" in the report (a check FAIL still gives 1)
 
 Machine-format output goes to stdout (or --out); diagnostics go to stderr.
 """
@@ -159,13 +161,18 @@ def cmd_survey(args) -> int:
     code = _write(render_report(report, args.format), args.out)
     if code:
         return code
+    if report.errors:
+        print(
+            f"cutgroups: {len(report.errors)} record(s) could not be analyzed",
+            file=sys.stderr,
+        )
     if report.failures:
         print(
             f"cutgroups: {len(report.failures)} check failure(s) found",
             file=sys.stderr,
         )
         return 1
-    return 0
+    return 4 if report.errors else 0
 
 
 def cmd_construct(args) -> int:

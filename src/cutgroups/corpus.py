@@ -82,9 +82,10 @@ class SurveyReport:
     aggregates: dict
     failures: list[dict]
     skipped: list[dict]
+    errors: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "corpus": self.corpus,
             "config": self.config,
             "rows": self.rows,
@@ -92,6 +93,9 @@ class SurveyReport:
             "failures": self.failures,
             "skipped": self.skipped,
         }
+        if self.errors:  # absent when empty, so clean reports keep their bytes
+            out["errors"] = self.errors
+        return out
 
 
 def parse_corpus(path: str | Path) -> list[GroupRecord]:
@@ -196,19 +200,23 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
 
 
 def _analyze_payload(payload: dict) -> dict:
-    """Analyze one record from a plain payload (picklable for worker pools)."""
+    """Analyze one record from a plain payload (picklable for worker pools).
+    A cap overrun makes the record skipped; any other exception makes it an
+    error, "TypeName: message", so one bad record never ends the survey."""
     rid = payload["id"]
     degree = payload["degree"]
     cap = payload["cap"]
-    gens = [parse_permutation(t, degree) for t in payload["gens"]]
-    G = PermGroup(degree, gens)
     try:
+        gens = [parse_permutation(t, degree) for t in payload["gens"]]
+        G = PermGroup(degree, gens)
         report = group_rationality(G, cap, payload["checks"])
+        sylow2_cut = None
+        if payload["syl2"] and report.is_cut:
+            sylow2_cut = group_rationality(sylow(G, 2, cap).as_group, cap).is_cut
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
-    sylow2_cut = None
-    if payload["syl2"] and report.is_cut:
-        sylow2_cut = group_rationality(sylow(G, 2, cap).as_group, cap).is_cut
+    except Exception as e:
+        return {"id": rid, "error": f"{type(e).__name__}: {e}"}
     return {
         "id": rid,
         "row": {
@@ -233,8 +241,9 @@ def run_survey(
     config: SurveyConfig | None = None,
     label: str = "corpus",
 ) -> SurveyReport:
-    """Analyze every record; per-record cap overruns become skipped entries,
-    never silent drops.  Row order is by record id regardless of workers."""
+    """Analyze every record; per-record cap overruns become skipped entries
+    and any other per-record exception an errors entry, never silent drops.
+    Row order is by record id regardless of workers."""
     config = config or SurveyConfig()
     # every selected name but syl2 is a registry check
     checks = tuple(c for c in config.checks if c != "syl2")
@@ -261,9 +270,13 @@ def run_survey(
     rows: list[dict] = []
     skipped: list[dict] = []
     failures: list[dict] = []
+    errors: list[dict] = []
     for outcome in outcomes:
         if "skipped" in outcome:
             skipped.append({"id": outcome["id"], "reason": outcome["skipped"]})
+            continue
+        if "error" in outcome:
+            errors.append({"id": outcome["id"], "error": outcome["error"]})
             continue
         row = outcome["row"]
         rows.append(row)
@@ -285,6 +298,7 @@ def run_survey(
         aggregates=aggregates,
         failures=failures,
         skipped=skipped,
+        errors=errors,
     )
 
 
@@ -423,6 +437,11 @@ def _survey_text(payload: dict) -> str:
         lines.append("skipped:")
         for s in payload["skipped"]:
             lines.append(f"  {s['id']}: {s['reason']}")
+        lines.append("")
+    if "errors" in payload:
+        lines.append("ERRORS (records that could not be analyzed):")
+        for e in payload["errors"]:
+            lines.append(f"  {e['id']}: {e['error']}")
         lines.append("")
     return "\n".join(lines)
 

@@ -5,14 +5,19 @@ Order and membership go through a deterministic stabilizer chain
 incremental Schreier-Sims on image tuples, so they work far beyond the
 enumeration cap.  Full element lists use breadth-first closure
 over the generators on image tuples, which fixes the element ordering that
-all downstream class indexing relies on.
+all downstream class indexing relies on.  The closure keeps what it
+computes: every product element · generator as a right Cayley column on
+element indices, and the tree of first discoveries; the class sweep runs on
+those integers.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from collections import deque
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
@@ -27,44 +32,47 @@ class _ChainLevel:
     """One level of a stabilizer chain, on image tuples.
 
     ``gens`` is S_L, every strong generator that reached this level, so
-    ``<gens>`` is this level's group and fixes every earlier base point.
+    ``<gens>`` is this level's group and fixes every earlier base point;
+    ``gen_inverses`` holds their inverses, in the same order.
     ``reps[beta]`` maps the base point to beta and ``inverses[beta]`` is its
     inverse; the orbit is their key set, always closed under ``gens``.
     ``pending`` holds the (beta, s) Schreier pairs not yet sifted.
     """
 
-    __slots__ = ("point", "gens", "reps", "inverses", "pending")
+    __slots__ = ("point", "gens", "gen_inverses", "reps", "inverses", "pending")
 
     def __init__(self, point: int, identity: tuple[int, ...]):
         self.point = point
         self.gens: list[tuple[int, ...]] = []
+        self.gen_inverses: list[tuple[int, ...]] = []
         self.reps = {point: identity}
         self.inverses = {point: identity}
         self.pending: deque[tuple[int, tuple[int, ...]]] = deque()
 
-    def extend(self, g: tuple[int, ...]) -> None:
-        """Add the strong generator g: extend the orbit from the images of
-        the old points under g, then breadth-first over the new points only,
-        and queue the Schreier pairs that are new.  Existing reps never
-        change."""
+    def extend(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
+        """Add the strong generator g, with its inverse g_inv: extend the
+        orbit from the images of the old points under g, then breadth-first
+        over the new points only, and queue the Schreier pairs that are new.
+        Existing reps never change.  A new point's inverse rep is gathered
+        from its parent's, (rep · s)⁻¹ = s⁻¹ · rep⁻¹, not inverted anew."""
         reps, inverses, gens = self.reps, self.inverses, self.gens
         old = list(reps)
         gens.append(g)
+        self.gen_inverses.append(g_inv)
         new = []
 
-        def visit(beta: int, s: tuple[int, ...]) -> None:
+        def visit(beta: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
             gamma = s[beta]
             if gamma not in reps:
-                rep = then_images(reps[beta], s)
-                reps[gamma] = rep
-                inverses[gamma] = invert_images(rep)
+                reps[gamma] = then_images(reps[beta], s)
+                inverses[gamma] = then_images(s_inv, inverses[beta])
                 new.append(gamma)
 
         for beta in old:
-            visit(beta, g)
+            visit(beta, g, g_inv)
         for beta in new:  # grows while it is walked: the breadth-first queue
-            for s in gens:
-                visit(beta, s)
+            for s, s_inv in zip(gens, self.gen_inverses):
+                visit(beta, s, s_inv)
         self.pending.extend((beta, g) for beta in old)
         self.pending.extend((beta, s) for beta in new for s in gens)
 
@@ -111,12 +119,14 @@ class _Chain:
 
     def _insert(self, g: tuple[int, ...], start: int, depth: int) -> None:
         """g fixes the base points above ``depth``: it is a new strong
-        generator of every level from ``start`` to ``depth``."""
+        generator of every level from ``start`` to ``depth``; it is inverted
+        once for all of them."""
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
             self.levels.append(_ChainLevel(point, self.identity))
+        g_inv = invert_images(g)
         for level in self.levels[start : depth + 1]:
-            level.extend(g)
+            level.extend(g, g_inv)
 
     def _close(self, depth: int) -> None:
         """Sift the pending Schreier pairs, deepest level first; a residue
@@ -149,12 +159,49 @@ class _Chain:
         return [level.point for level in self.levels]
 
 
+# (right, parent, edge): see PermGroup.cayley
+Cayley = tuple[list[array], array, array]
+
+
+def _closure(
+    degree: int, generators: Sequence[Permutation]
+) -> tuple[list[tuple[int, ...]], Cayley]:
+    """Breadth-first closure over the generators on image tuples, from the
+    identity, recording every product it takes in the Cayley columns."""
+    gens = [g.images for g in generators]
+    identity = tuple(range(degree))
+    out = [identity]
+    index = {identity: 0}
+    # lists while growing (an array append costs a few list appends), then
+    # packed into arrays
+    right: list[list[int]] = [[] for _ in gens]
+    parent = [-1]
+    edge = [-1]
+    steps = [(e, g, column.append) for e, (g, column) in enumerate(zip(gens, right))]
+    for i, p in enumerate(out):  # grows while it is walked: layer by layer
+        # "apply p, then g" gathers g at p, as then_images does; at degree 1
+        # itemgetter would return a bare int, but p is the identity there
+        product = itemgetter(*p) if degree > 1 else tuple
+        for e, g, record in steps:
+            q = product(g)
+            n = len(out)
+            j = index.setdefault(q, n)
+            if j == n:
+                out.append(q)
+                parent.append(i)
+                edge.append(e)
+            record(j)
+    columns = [array("i", column) for column in right]
+    return out, (columns, array("i", parent), array("i", edge))
+
+
 class PermGroup:
     """A finite permutation group given by generators on {1..degree}.
 
     The identity is always a member, even if not listed.  The stabilizer
-    chain and the element list are each built at most once and shared by
-    later calls; construction is guarded so concurrent readers are safe.
+    chain and the element list (with its Cayley columns) are each built at
+    most once and shared by later calls; construction is guarded so
+    concurrent readers are safe.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
@@ -174,6 +221,7 @@ class PermGroup:
         self._chain: _Chain | None = None
         self._order: int | None = None
         self._elements: list[Permutation] | None = None
+        self._cayley: Cayley | None = None
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -204,24 +252,35 @@ class PermGroup:
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (checked against the exact chain order up front).
+        The same closure records the Cayley columns and the tree of the
+        enumeration; see ``cayley``.
         """
+        self._enumerate(cap)
+        return self._elements
+
+    def cayley(self, cap: int = DEFAULT_CAP) -> Cayley:
+        """``(right, parent, edge)``: what the closure of ``elements(cap)``
+        computed, on indices into that list, built with it at most once.
+
+        ``right[e][i]`` is the index of ``elements[i] · generators[e]``, and
+        ``elements[j] = elements[parent[j]] · generators[edge[j]]`` with
+        ``parent[j] < j`` (the breadth-first tree; the root, the identity,
+        has parent and edge -1).  All are ``array('i')``: a list would hold
+        a separate int object for every index above 256.
+        """
+        self._enumerate(cap)
+        return self._cayley
+
+    def _enumerate(self, cap: int) -> None:
         order = self.order()
         if order > cap:
             raise CapExceeded(order, cap)
         if self._elements is None:
             with self._lock:
                 if self._elements is None:
-                    gens = [g.images for g in self.generators]
-                    out = [tuple(range(self.degree))]
-                    seen = set(out)
-                    for p in out:  # grows while it is walked: layer by layer
-                        for g in gens:
-                            q = then_images(p, g)
-                            if q not in seen:
-                                seen.add(q)
-                                out.append(q)
+                    # _cayley first: a reader that sees _elements sees both
+                    out, self._cayley = _closure(self.degree, self.generators)
                     self._elements = [Permutation._trusted(q) for q in out]
-        return self._elements
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""

@@ -3,21 +3,23 @@ derived series, exponents.
 
 All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
-solvability) work beyond it.  The class sweep conjugates 0-based image
-tuples and makes a Permutation only for each class representative; the
-power map computes a row by successive products only for a class that is
-not a power of an earlier one, so at most one row per Galois orbit of
-classes, and derives every other row from it.
+solvability) work beyond it.  The class sweep runs on element indices: it
+reads conjugation off the Cayley columns and the breadth-first tree that
+the enumeration recorded (``PermGroup.cayley``), so it makes no image tuple
+and no Permutation at all; the power map computes a row by successive
+products only for a class that is not a power of an earlier one, so at most
+one row per Galois orbit of classes, and derives every other row from it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import BadParam, CapExceeded
-from .group import DEFAULT_CAP, PermGroup
+from .group import DEFAULT_CAP, Cayley, PermGroup
 from .perm import Permutation, commutator, compose, invert_images, then_images
 
 
@@ -122,29 +124,62 @@ class ClassTable:
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     """Full class partition by orbits of the conjugation action, seeded from
     each yet-unassigned element in enumeration order.  Not cached: callers
-    that need the table more than once keep it."""
-    order = G.order()
-    if order > cap:
-        raise CapExceeded(order, cap)
-    gens = _conjugating_pairs(G)
-    class_of: dict[tuple[int, ...], int] = {}
+    that need the table more than once keep it.
+
+    The sweep runs on element indices: the conjugation action of each
+    generator is an integer permutation read from the enumeration's Cayley
+    columns (see _conjugation_actions), and classes are its orbits.
+    """
+    elems = G.elements(cap)
+    actions = _conjugation_actions(G.cayley(cap))
+    cls = [-1] * len(elems)
     reps: list[Permutation] = []
     sizes: list[int] = []
-    for x in G.elements(cap):
-        if x.images in class_of:
+    for x, rep in enumerate(elems):
+        if cls[x] >= 0:
             continue
         idx = len(reps)
-        class_of[x.images] = idx
-        members = [x.images]
+        cls[x] = idx
+        members = [x]
         for y in members:  # grows while it is walked: the breadth-first queue
-            for g_inv, g in gens:
-                z = then_images(then_images(g_inv, y), g)
-                if z not in class_of:
-                    class_of[z] = idx
+            for action in actions:
+                z = action[y]
+                if cls[z] < 0:
+                    cls[z] = idx
                     members.append(z)
-        reps.append(x)
+        reps.append(rep)
         sizes.append(len(members))
+    del actions  # before the class_of dict, to keep the peak down
+    class_of = dict(zip(map(attrgetter("images"), elems), cls))
     return ClassTable(G, reps, sizes, class_of)
+
+
+def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
+    """For each generator g, the list whose entry j is the index of
+    elements[j] ** g = g⁻¹ · elements[j] · g.
+
+    One pass over the enumeration's tree gives left[j], the index of
+    g⁻¹ · elements[j], since g⁻¹ · elements[j] = (g⁻¹ · elements[parent[j]])
+    · g_edge[j]; the conjugate is then the right Cayley column of g read at
+    left[j].
+    """
+    right, parent, edge = cayley
+    # lists read faster than arrays; all of them refer to one int object per
+    # element index
+    ints = list(range(len(parent)))
+    columns = [list(map(ints.__getitem__, column)) for column in right]
+    actions = []
+    for right_g in columns:
+        # g⁻¹ is the last power of g before the identity; g is right_g[0]
+        inverse, k = 0, right_g[0]
+        while k:
+            inverse, k = k, right_g[k]
+        left = [inverse]
+        push = left.append
+        for i, e in zip(parent[1:], edge[1:]):  # the tree below the root
+            push(columns[e][left[i]])
+        actions.append(list(map(right_g.__getitem__, left)))
+    return actions
 
 
 def _conjugating_pairs(G: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

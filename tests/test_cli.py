@@ -224,6 +224,64 @@ class TestSurvey:
         assert code == 1
         assert "failure" in err
 
+    @staticmethod
+    def break_bmp_for_order_6(monkeypatch, fail_others=False):
+        from cutgroups import rationality
+
+        def bmp(a):
+            if a.G.order() == 6:
+                raise RuntimeError("injected fault")
+            if fail_others:
+                return CheckResult("FAIL", "fabricated for exit-code test")
+            return CheckResult("PASS", "")
+
+        monkeypatch.setitem(rationality.CHECKS, "bmp", bmp)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_bad_record_does_not_end_the_survey(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        self.break_bmp_for_order_6(monkeypatch)
+        path = self.corpus_file(tmp_path)
+        code, out, err = run_cli(
+            ["survey", "--corpus", str(path), "--checks", "bmp",
+             "--workers", workers, "--format", "json"], capsys
+        )
+        assert code == 4
+        assert "1 record(s) could not be analyzed" in err
+        report = json.loads(out)
+        assert [row["id"] for row in report["rows"]] == ["c3", "c5"]
+        assert report["errors"] == [{"id": "s3", "error": "RuntimeError: injected fault"}]
+        assert report["aggregates"]["analyzed"] == 2
+
+    def test_errors_in_text_report(self, tmp_path, capsys, monkeypatch):
+        self.break_bmp_for_order_6(monkeypatch)
+        path = self.corpus_file(tmp_path)
+        code, out, _ = run_cli(
+            ["survey", "--corpus", str(path), "--checks", "bmp", "--format", "text"],
+            capsys,
+        )
+        assert code == 4
+        assert "  s3: RuntimeError: injected fault" in out
+
+    def test_fail_takes_precedence_over_errors(self, tmp_path, capsys, monkeypatch):
+        self.break_bmp_for_order_6(monkeypatch, fail_others=True)
+        path = self.corpus_file(tmp_path)
+        code, _, err = run_cli(
+            ["survey", "--corpus", str(path), "--checks", "bmp", "--format", "json"],
+            capsys,
+        )
+        assert code == 1
+        assert "failure" in err and "could not be analyzed" in err
+
+    def test_clean_report_has_no_errors_key(self, tmp_path, capsys):
+        path = self.corpus_file(tmp_path)
+        code, out, _ = run_cli(
+            ["survey", "--corpus", str(path), "--format", "json"], capsys
+        )
+        assert code == 0
+        assert "errors" not in json.loads(out)
+
     def test_survey_accepts_syl2(self, tmp_path, capsys):
         path = self.corpus_file(tmp_path)
         code, out, _ = run_cli(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chain_oracle import oracle_chain
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, trivial_group
-from cutgroups.perm import Permutation, compose, parse_permutation
+from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, iterated_wreath, symmetric
 
 
@@ -119,6 +119,81 @@ class TestElements:
         assert set(G.elements()) == brute_closure(list(G.generators))
 
 
+def layered_closure(G):
+    """Oracle for the element order: the closure elements() ran before it
+    recorded Cayley columns, on a seen set."""
+    gens = [g.images for g in G.generators]
+    out = [tuple(range(G.degree))]
+    seen = set(out)
+    for p in out:  # grows while it is walked: layer by layer
+        for g in gens:
+            q = then_images(p, g)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+    return out
+
+
+@st.composite
+def small_random_groups(draw):
+    """1-3 random generators of degree 1-7, identity generators included."""
+    n = draw(st.integers(1, 7))
+    perm = st.one_of(st.permutations(list(range(n))), st.just(list(range(n))))
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    return PermGroup(n, [Permutation(g) for g in gens])
+
+
+class TestCayley:
+    """The columns and tree that elements() records, against products."""
+
+    @staticmethod
+    def assert_cayley_right(G):
+        elems = [e.images for e in G.elements()]
+        assert elems == layered_closure(G)
+        index = {p: i for i, p in enumerate(elems)}
+        right, parent, edge = G.cayley()
+        gens = [g.images for g in G.generators]
+        assert len(right) == len(gens)
+        for column in (*right, parent, edge):
+            assert column.typecode == "i" and len(column) == len(elems)
+        for e, g in enumerate(gens):
+            assert list(right[e]) == [index[then_images(p, g)] for p in elems]
+        assert parent[0] == edge[0] == -1
+        for j in range(1, len(elems)):
+            assert 0 <= parent[j] < j
+            assert then_images(elems[parent[j]], gens[edge[j]]) == elems[j]
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_random_groups())
+    def test_random_groups(self, G):
+        self.assert_cayley_right(G)
+
+    @pytest.mark.parametrize(
+        "G", [trivial_group(1), trivial_group(4), symmetric(5), alternating(6)],
+        ids=["trivial-1", "trivial-4", "S5", "A6"],
+    )
+    def test_named_groups(self, G):
+        self.assert_cayley_right(G)
+
+    def test_built_once_with_elements(self, monkeypatch):
+        from cutgroups import group
+
+        calls = []
+        closure = group._closure
+        monkeypatch.setattr(
+            group, "_closure", lambda *args: calls.append(args) or closure(*args)
+        )
+        G = symmetric(4)
+        elems = G.elements()
+        assert G.cayley() is G.cayley()
+        assert G.elements() is elems
+        assert len(calls) == 1
+
+    def test_cap_exceeded(self):
+        with pytest.raises(CapExceeded):
+            symmetric(5).cayley(cap=100)
+
+
 class TestChain:
     def test_base_points_smallest_moved_first(self):
         G = symmetric(4)
@@ -191,3 +266,15 @@ class TestChainAgainstOracle:
             assert G.order() == len(brute_closure(gens))
         for q in queries:
             assert G.contains(q) == oracle.sift(q).is_identity()
+
+
+class TestChainInverses:
+    @settings(max_examples=60, deadline=None)
+    @given(generators_and_queries())
+    def test_inverse_reps(self, case):
+        # inverses are gathered from the parent point's, not inverted anew
+        gens, _ = case
+        chain = PermGroup(gens[0].degree, gens)._built_chain()
+        for level in chain.levels:
+            for beta, rep in level.reps.items():
+                assert then_images(rep, level.inverses[beta]) == chain.identity

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, CapExceeded
-from cutgroups.group import PermGroup
-from cutgroups.perm import Permutation, commutator, compose, parse_permutation
+from cutgroups.group import DEFAULT_CAP, PermGroup, trivial_group
+from cutgroups.perm import (
+    Permutation,
+    commutator,
+    compose,
+    parse_permutation,
+    then_images,
+)
 from cutgroups.structure import (
+    ClassTable,
     Subgroup,
+    _conjugating_pairs,
     abelianization_exponent_divides,
     are_conjugate,
     class_conjugators,
@@ -105,6 +113,43 @@ def eager_sylow_gens(G, p, cap=100_000):
         else:
             raise AssertionError("normalizer growth stalled below the p-part")
     return gens
+
+
+def tuple_sweep_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
+    """Oracle for conjugacy_classes: the sweep it replaced, which conjugates
+    image tuples with two then_images gathers per element and generator."""
+    order = G.order()
+    if order > cap:
+        raise CapExceeded(order, cap)
+    gens = _conjugating_pairs(G)
+    class_of: dict[tuple[int, ...], int] = {}
+    reps: list[Permutation] = []
+    sizes: list[int] = []
+    for x in G.elements(cap):
+        if x.images in class_of:
+            continue
+        idx = len(reps)
+        class_of[x.images] = idx
+        members = [x.images]
+        for y in members:  # grows while it is walked: the breadth-first queue
+            for g_inv, g in gens:
+                z = then_images(then_images(g_inv, y), g)
+                if z not in class_of:
+                    class_of[z] = idx
+                    members.append(z)
+        reps.append(x)
+        sizes.append(len(members))
+    return ClassTable(G, reps, sizes, class_of)
+
+
+@st.composite
+def random_groups_with_degree_one(draw):
+    """1-3 random generators of degree 1-7, identity generators included, so
+    the trivial group and degree 1 come up."""
+    n = draw(st.integers(1, 7))
+    perm = st.one_of(st.permutations(list(range(n))), st.just(list(range(n))))
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    return PermGroup(n, [Permutation(g) for g in gens])
 
 
 def brute_classes(G):
@@ -202,6 +247,40 @@ class TestConjugacyClasses:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             conjugacy_classes(symmetric(6), cap=100)
+
+
+class TestIndexSweepAgainstTupleSweep:
+    """conjugacy_classes sweeps element indices; the tuple sweep it replaced
+    is the oracle, and reps, sizes and class_of must agree exactly."""
+
+    @staticmethod
+    def assert_same_table(G):
+        T = conjugacy_classes(G)
+        oracle = tuple_sweep_classes(G)
+        assert T.reps == oracle.reps
+        assert T.sizes == oracle.sizes
+        assert T.class_of == oracle.class_of
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups_with_degree_one())
+    def test_random_groups(self, G):
+        self.assert_same_table(G)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_trivial_group(self, degree):
+        self.assert_same_table(trivial_group(degree))
+
+    def test_bundled_groups(self):
+        records = [
+            r for r in parse_corpus(bundled_corpus_path()) if r.group.order() <= 2000
+        ]
+        assert len(records) > 100
+        for r in records:
+            self.assert_same_table(r.group)
+
+    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
+    def test_near_cap_groups(self, G):
+        self.assert_same_table(G)
 
 
 class TestAreConjugate:
