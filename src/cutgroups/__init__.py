@@ -33,7 +33,6 @@ from .perm import (
 from .group import DEFAULT_CAP, PermGroup
 from .structure import (
     ClassTable,
-    Subgroup,
     abelianization_exponent_divides,
     are_conjugate,
     conjugacy_classes,
@@ -41,7 +40,6 @@ from .structure import (
     exponent,
     is_elementary_abelian,
     is_solvable,
-    normalizer,
     p_core,
     sylow,
 )

@@ -212,7 +212,7 @@ def _analyze_payload(payload: dict) -> dict:
         report = group_rationality(G, cap, payload["checks"])
         sylow2_cut = None
         if payload["syl2"] and report.is_cut:
-            sylow2_cut = group_rationality(sylow(G, 2, cap).as_group, cap).is_cut
+            sylow2_cut = group_rationality(sylow(G, 2, cap), cap).is_cut
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     except Exception as e:

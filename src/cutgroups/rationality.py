@@ -26,7 +26,6 @@ from .group import DEFAULT_CAP, PermGroup
 from .perm import invert_images
 from .structure import (
     ClassTable,
-    Subgroup,
     abelianization_exponent_divides,
     class_conjugators,
     conjugacy_classes,
@@ -61,7 +60,6 @@ class ClassRationality:
     class_index: int
     element_order: int
     stabilizer: tuple[int, ...]  # residues k mod order with rep**k ~ rep
-    stabilizer_index: int
     is_rational: bool
     is_inverse_semirational: bool
     is_semirational: bool
@@ -172,7 +170,6 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
         class_index=c,
         element_order=o,
         stabilizer=tuple(sorted(stab)),
-        stabilizer_index=degree,
         is_rational=len(stab) == len(units),
         # inverse_closure is a set of units, so equal sizes mean all units
         is_inverse_semirational=len(inverse_closure) == len(units),
@@ -232,17 +229,15 @@ class Analysis:
             class_reports=classes,
         )
 
-    def sylow(self, p: int) -> Subgroup:
+    def sylow(self, p: int) -> PermGroup:
         return self._once(("sylow", p), lambda: sylow(self.G, p, self.cap))
 
     def sylow_analysis(self, p: int) -> Analysis:
-        return self._once(
-            ("analysis", p), lambda: Analysis(self.sylow(p).as_group, self.cap)
-        )
+        return self._once(("analysis", p), lambda: Analysis(self.sylow(p), self.cap))
 
-    def p_core(self, p: int) -> Subgroup:
+    def p_core(self, p: int) -> PermGroup:
         return self._once(
-            ("p_core", p), lambda: core_of(self.G, self.sylow(p), self.table, self.cap)
+            ("p_core", p), lambda: core_of(self.sylow(p), self.table, self.cap)
         )
 
     def run(self, checks: Iterable[str]) -> dict[str, CheckResult]:
@@ -375,7 +370,7 @@ _check("cut_primes", "solvable", "cut")(lambda a: _primes_within(a, (2, 3, 5, 7)
 def _hegedus(a: Analysis) -> CheckResult:
     P5 = a.sylow(5)
     normal = P5.order() == a.p_core(5).order()
-    elem_ab = is_elementary_abelian(P5.as_group, 5)
+    elem_ab = is_elementary_abelian(P5, 5)
     return CheckResult(
         PASS if normal and elem_ab else FAIL,
         f"Sylow 5 order {P5.order()}: normal={normal}, elementary abelian={elem_ab}",
@@ -385,7 +380,7 @@ def _hegedus(a: Analysis) -> CheckResult:
 @_check("ppe", "cut")
 def _ppe(a: Analysis) -> CheckResult:
     P3 = a.sylow(3)
-    ok = abelianization_exponent_divides(P3.as_group, 3, a.cap)
+    ok = abelianization_exponent_divides(P3, 3, a.cap)
     return CheckResult(
         PASS if ok else FAIL,
         f"exp(P/P') of the order-{P3.order()} Sylow 3-subgroup"
@@ -395,7 +390,7 @@ def _ppe(a: Analysis) -> CheckResult:
 
 @_check("q3", "solvable", "cut")
 def _q3(a: Analysis) -> CheckResult:
-    exps = {p: exponent(a.p_core(p).as_group, a.cap) for p in (5, 7)}
+    exps = {p: exponent(a.p_core(p), a.cap) for p in (5, 7)}
     return CheckResult(
         PASS if all(p % e == 0 for p, e in exps.items()) else FAIL,
         "; ".join(f"exp O_{p} = {e}" for p, e in exps.items()),
@@ -407,7 +402,7 @@ def _sylow3(a: Analysis) -> CheckResult:
     P = a.sylow(3)
     if a.sylow_analysis(3).report.is_cut:
         return CheckResult(PASS, f"Sylow 3-subgroup of order {P.order()} is cut")
-    gens = ", ".join(str(g) for g in P.gens)
+    gens = ", ".join(str(g) for g in P.generators)
     return CheckResult(
         FAIL,
         f"cut group has a non-cut Sylow 3-subgroup of order {P.order()};"

@@ -9,17 +9,21 @@ the enumeration recorded (``PermGroup.cayley``), so it makes no image tuple
 and no Permutation at all; the power map computes a row by successive
 products only for a class that is not a power of an earlier one, so at most
 one row per Galois orbit of classes, and derives every other row from it.
+
+Subgroups are plain PermGroups: sylow, p_core and derived_subgroup return
+the group their growth loop built last, chain included, or the trivial
+group.  A p-core keeps the classes of G that lie wholly in the Sylow
+subgroup, found by counting the subgroup's members per class.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from operator import attrgetter
-from typing import Sequence
 
 from .errors import BadParam, CapExceeded
-from .group import DEFAULT_CAP, Cayley, PermGroup
+from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
 from .perm import Permutation, commutator, compose, invert_images, then_images
 
 
@@ -197,14 +201,6 @@ def are_conjugate(
     return table.class_index(x) == table.class_index(y)
 
 
-def class_members(table: ClassTable, cap: int = DEFAULT_CAP) -> list[list[Permutation]]:
-    """Members of every class, grouped by class index, in enumeration order."""
-    members: list[list[Permutation]] = [[] for _ in table.reps]
-    for e in table.group.elements(cap):
-        members[table.class_of[e.images]].append(e)
-    return members
-
-
 def class_conjugators(
     G: PermGroup, rep: Permutation
 ) -> dict[tuple[int, ...], Permutation]:
@@ -222,63 +218,13 @@ def class_conjugators(
     return {y: Permutation._trusted(u) for y, u in conjugator.items()}
 
 
-class Subgroup:
-    """A subgroup of a parent group, carried as a generating set.
-
-    Every generator is verified to sift through the parent's chain.
-    """
-
-    def __init__(self, parent: PermGroup, gens: Sequence[Permutation]):
-        gens = tuple(gens)
-        for g in gens:
-            if not parent.contains(g):
-                raise ValueError(f"generator {g} is not a member of the parent")
-        if not gens:
-            gens = (Permutation.identity(parent.degree),)
-        self.parent = parent
-        self.gens = gens
-        self.as_group = PermGroup(parent.degree, list(gens))
-
-    def order(self) -> int:
-        return self.as_group.order()
-
-    def __repr__(self) -> str:
-        gens = ", ".join(str(g) for g in self.gens)
-        return f"Subgroup(order={self.order()}, gens=[{gens}])"
-
-
-def _reduce_to_generators(
-    degree: int, members: Sequence[Permutation]
-) -> list[Permutation]:
-    """Greedy generating subset of a member list, in deterministic order."""
-    gens: list[Permutation] = []
-    current: PermGroup | None = None
-    for x in members:
-        if x.is_identity():
-            continue
-        if current is None or not current.contains(x):
-            gens.append(x)
-            current = PermGroup(degree, gens)
-    return gens
-
-
 def _normalizes(g: Permutation, H: PermGroup) -> bool:
     """g normalizes H iff every generator of H conjugates into H (the
     conjugate subgroup has the same order, so containment forces equality)."""
     return all(H.contains(h.conjugate_by(g)) for h in H.generators)
 
 
-def normalizer(G: PermGroup, H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
-    """N_G(H), by filtering the enumeration of G."""
-    order = G.order()
-    if order > cap:
-        raise CapExceeded(order, cap)
-    K = H.as_group
-    members = [g for g in G.elements(cap) if _normalizes(g, K)]
-    return Subgroup(G, _reduce_to_generators(G.degree, members))
-
-
-def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
+def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """A Sylow p-subgroup via normalizer growth.
 
     Start from the p-part of the first element of order divisible by p;
@@ -286,8 +232,8 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
     of the first normalizer element that lands outside it.  Each growth
     step scans the enumeration lazily and stops at that element, never
     listing the whole normalizer.  Deterministic because every scan follows
-    the enumeration order.  Returns the trivial subgroup when p does not
-    divide |G|.
+    the enumeration order.  Returns the group the last step built, or the
+    trivial group when p does not divide |G|.
     """
     if not is_prime(p):
         raise BadParam(f"p must be prime, got {p}")
@@ -296,7 +242,7 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
         raise CapExceeded(order, cap)
     target = p_part(order, p)
     if target == 1:
-        return Subgroup(G, [])
+        return trivial_group(G.degree)
     elems = G.elements(cap)
     gens: list[Permutation] = []
     for x in elems:
@@ -317,36 +263,39 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
                 break
         else:
             raise AssertionError("normalizer growth stalled below the p-part")
-    return Subgroup(G, gens)
+    return P
 
 
-def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> Subgroup:
+def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """O_p(G), the largest normal p-subgroup."""
     P = sylow(G, p, cap)
     if P.order() == 1:
         return P
-    return core_of(G, P, conjugacy_classes(G, cap), cap)
+    return core_of(P, conjugacy_classes(G, cap), cap)
 
 
-def core_of(
-    G: PermGroup, P: Subgroup, table: ClassTable, cap: int = DEFAULT_CAP
-) -> Subgroup:
-    """The subgroup of the elements of P whose whole conjugacy class in G
-    (read from G's class table) lies in P; for P Sylow this is O_p(G)."""
+def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGroup:
+    """The subgroup of the elements of P whose whole conjugacy class in G,
+    the group of ``table``, lies in P; for P Sylow this is O_p(G).
+
+    A class of G lies in P exactly when P holds all its members, so it is
+    counted, not listed.  The core grows greedily over P's enumeration.
+    """
     if P.order() == 1:
         return P
-    inside = {e.images for e in P.as_group.elements(cap)}
-    members = class_members(table, cap)
-    core: list[Permutation] = []
-    for c, rep in enumerate(table.reps):
-        if rep.images not in inside:
-            continue
-        if all(m.images in inside for m in members[c]):
-            core.extend(members[c])
-    return Subgroup(G, _reduce_to_generators(G.degree, core))
+    elems = P.elements(cap)
+    classes = [table.class_of[e.images] for e in elems]
+    hits = Counter(classes)
+    gens: list[Permutation] = []
+    core = trivial_group(P.degree)
+    for e, c in zip(elems, classes):
+        if hits[c] == table.sizes[c] and not core.contains(e):
+            gens.append(e)
+            core = PermGroup(P.degree, gens)
+    return core
 
 
-def derived_subgroup(H: PermGroup) -> Subgroup:
+def derived_subgroup(H: PermGroup) -> PermGroup:
     """Normal closure of the generator commutators; generator-based, so it
     works beyond the enumeration cap."""
     seeds = []
@@ -358,7 +307,7 @@ def derived_subgroup(H: PermGroup) -> Subgroup:
                 seen.add(c.images)
                 seeds.append(c)
     if not seeds:
-        return Subgroup(H, [])
+        return trivial_group(H.degree)
     gens = list(seeds)
     D = PermGroup(H.degree, gens)
     queue = deque(seeds)
@@ -370,7 +319,7 @@ def derived_subgroup(H: PermGroup) -> Subgroup:
                 gens.append(e)
                 D = PermGroup(H.degree, gens)
                 queue.append(e)
-    return Subgroup(H, gens)
+    return D
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -380,7 +329,7 @@ def is_solvable(G: PermGroup) -> bool:
         order = current.order()
         if order == 1:
             return True
-        D = derived_subgroup(current).as_group
+        D = derived_subgroup(current)
         if D.order() == order:
             return False
         current = D
@@ -417,5 +366,5 @@ def abelianization_exponent_divides(
 ) -> bool:
     """True iff x**p lies in P' for every x in P, i.e. exp(P/P') divides p,
     without constructing the quotient."""
-    D = derived_subgroup(P).as_group
+    D = derived_subgroup(P)
     return all(D.contains(x ** p) for x in P.elements(cap))

@@ -195,7 +195,7 @@ def test_criterion_10_q3(survey):
     F20 = sylnorm(5)
     core = p_core(F20, 5)
     assert core.order() == 5
-    assert exponent(core.as_group) == 5
+    assert exponent(core) == 5
     for p in (5, 7):
         G = sylnorm(p)
         assert is_cut_bruteforce(G)

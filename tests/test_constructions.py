@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from test_structure import normalizer
 from cutgroups.errors import BadParam, DegreeTooLarge
 from cutgroups.group import MAX_DEGREE, trivial_group
 from cutgroups.rationality import group_rationality, is_cut_bruteforce
-from cutgroups.structure import exponent, is_solvable, normalizer, Subgroup, sylow
+from cutgroups.structure import exponent, is_solvable, sylow
 from cutgroups.constructions import (
     abelian,
     alternating,

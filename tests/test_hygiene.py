@@ -36,3 +36,59 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level defs and classes, given each module's source by name,
+    that no other top-level statement of the package reads, that
+    ``__init__`` does not import, and that no decorator defined in the
+    package registers."""
+    definitions = []  # (module, name, statement)
+    reads = []  # (statement, names it reads)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, node.name, node))
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if module == "__init__" and isinstance(node, ast.ImportFrom):
+                names |= {alias.asname or alias.name for alias in node.names}
+            reads.append((node, names))
+    defined = {name for _, name, _ in definitions}
+
+    def registered(node) -> bool:
+        decorators = (
+            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
+        )
+        return any(isinstance(d, ast.Name) and d.id in defined for d in decorators)
+
+    return [
+        f"{module}.{name}"
+        for module, name, node in definitions
+        if not registered(node)
+        and not any(name in names for other, names in reads if other is not node)
+    ]
+
+
+def test_definition_scanner_finds_an_unreferenced_def():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "def exported(): pass\n"
+            "def helper(): return helper()\n"
+            "def used(): pass\n"
+            "class Orphan: pass\n"
+            "def register(f): return f\n"
+            "@register\ndef bare(): pass\n"
+            "def check(name): return register\n"
+            "@check('x')\ndef called(): pass\n"
+            "@staticmethod\ndef foreign(): pass\n"
+        ),
+        "b": "from .a import used\nused()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.helper", "a.Orphan", "a.foreign"]
+
+
+def test_every_definition_is_referenced():
+    package = Path(cutgroups.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert unreferenced_definitions(sources) == []

@@ -17,7 +17,6 @@ from cutgroups.perm import (
 )
 from cutgroups.structure import (
     ClassTable,
-    Subgroup,
     _conjugating_pairs,
     abelianization_exponent_divides,
     are_conjugate,
@@ -27,7 +26,6 @@ from cutgroups.structure import (
     exponent,
     is_elementary_abelian,
     is_solvable,
-    normalizer,
     p_core,
     p_part,
     prime_divisors,
@@ -366,10 +364,38 @@ class TestClassConjugators:
                 assert rep.conjugate_by(u).images == images
 
 
+def normalizer(G, H, cap=DEFAULT_CAP):
+    """N_G(H), generated by the whole filtered enumeration of G."""
+    return PermGroup(G.degree, normalizer_members(G, H, cap))
+
+
+class TestSubgroupsLieInTheGroup:
+    """The Sylow subgroup, p-core and derived subgroup are subgroups of G
+    with the shape their names promise, on random small groups."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_groups_with_degree_one())
+    def test_random_groups(self, G):
+        order = G.order()
+        for p in prime_divisors(order):
+            P = sylow(G, p)
+            assert P.order() == p_part(order, p)
+            assert all(p_part(g.order(), p) == g.order() for g in P.generators)
+            assert all(G.contains(g) for g in P.generators)
+            core = p_core(G, p)
+            assert all(P.contains(h) for h in core.generators)
+            for g in G.generators:
+                assert all(core.contains(h.conjugate_by(g)) for h in core.generators)
+        D = derived_subgroup(G)
+        assert all(G.contains(h) for h in D.generators)
+        for g in G.generators:
+            assert all(D.contains(h.conjugate_by(g)) for h in D.generators)
+
+
 class TestNormalizer:
     def test_whole_group(self):
         G = symmetric(4)
-        N = normalizer(G, Subgroup(G, list(G.generators)))
+        N = normalizer(G, G)
         assert N.order() == 24
 
     def test_sylow5_normalizer_in_s5(self):
@@ -379,12 +405,12 @@ class TestNormalizer:
         assert N.order() == 20  # p(p-1) for p = 5
         # brute-force cross-check
         members = [g for g in G.elements()
-                   if all(P.as_group.contains(h.conjugate_by(g)) for h in P.gens)]
+                   if all(P.contains(h.conjugate_by(g)) for h in P.generators)]
         assert len(members) == 20
 
     def test_trivial_subgroup(self):
         G = symmetric(4)
-        N = normalizer(G, Subgroup(G, []))
+        N = normalizer(G, trivial_group(4))
         assert N.order() == 24
 
 
@@ -399,7 +425,7 @@ class TestSylow:
     def test_s3_three_part(self):
         P = sylow(symmetric(3), 3)
         assert P.order() == 3
-        assert P.gens[0].cycle_type() == (3,)
+        assert P.generators[0].cycle_type() == (3,)
 
     def test_non_prime_rejected(self):
         with pytest.raises(BadParam):
@@ -412,7 +438,7 @@ class TestSylow:
     def test_order_is_exact_p_part(self, G, p):
         P = sylow(G, p)
         assert P.order() == p_part(G.order(), p)
-        for x in P.as_group.elements():
+        for x in P.elements():
             o = x.order()
             assert p_part(o, p) == o
 
@@ -421,7 +447,7 @@ class TestSylow:
         # fresh group object, same generators: identical subgroup generators
         G2 = PermGroup(4, list(symmetric(4).generators))
         b = sylow(G2, 2)
-        assert [g.images for g in a.gens] == [g.images for g in b.gens]
+        assert [g.images for g in a.generators] == [g.images for g in b.generators]
 
 
 class TestSylowAgainstEagerScan:
@@ -435,7 +461,7 @@ class TestSylowAgainstEagerScan:
                 continue
             for p in prime_divisors(G.order()):
                 expected = [g.images for g in eager_sylow_gens(G, p)]
-                assert [g.images for g in sylow(G, p).gens] == expected, (record.id, p)
+                assert [g.images for g in sylow(G, p).generators] == expected, (record.id, p)
                 checked += 1
         assert checked > 100
 
@@ -453,7 +479,7 @@ class TestPCore:
             x.images for x in G.elements()
             if p_part(brute_normal_closure(G, x).order(), 2) == brute_normal_closure(G, x).order()
         }
-        assert {x.images for x in core.as_group.elements()} == expected
+        assert {x.images for x in core.elements()} == expected
 
     def test_o3_s3(self):
         assert p_core(symmetric(3), 3).order() == 3
@@ -461,9 +487,9 @@ class TestPCore:
     def test_core_is_normal(self):
         G = dicyclic(6)
         core = p_core(G, 2)
-        for x in core.gens:
+        for x in core.generators:
             for g in G.generators:
-                assert core.as_group.contains(x.conjugate_by(g))
+                assert core.contains(x.conjugate_by(g))
 
     def test_core_inside_conjugate_sylows(self):
         G = symmetric(4)
@@ -473,8 +499,8 @@ class TestPCore:
         elems = G.elements()
         for _ in range(5):
             g = rng.choice(elems)
-            conj_sylow = PermGroup(4, [h.conjugate_by(g) for h in P.gens])
-            for x in core.gens:
+            conj_sylow = PermGroup(4, [h.conjugate_by(g) for h in P.generators])
+            for x in core.generators:
                 assert conj_sylow.contains(x)
 
 
@@ -498,7 +524,7 @@ class TestDerived:
 
     def test_contains_random_commutators(self):
         G = dicyclic(6)
-        D = derived_subgroup(G).as_group
+        D = derived_subgroup(G)
         rng = random.Random(11)
         elems = G.elements()
         for _ in range(100):
@@ -516,7 +542,7 @@ class TestSolvable:
         orders = [symmetric(4).order()]
         current = symmetric(4)
         while orders[-1] > 1:
-            current = derived_subgroup(current).as_group
+            current = derived_subgroup(current)
             orders.append(current.order())
         assert orders == [24, 12, 4, 1]
 
