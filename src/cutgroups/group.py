@@ -6,9 +6,11 @@ incremental Schreier-Sims on image tuples, so they work far beyond the
 enumeration cap.  Full element lists use breadth-first closure
 over the generators on image tuples, which fixes the element ordering that
 all downstream class indexing relies on.  The closure keeps what it
-computes: every product element · generator as a right Cayley column on
-element indices, and the tree of first discoveries; the class sweep runs on
-those integers.
+computes: the image tuples with their ``tuple -> index`` dict, every
+product element · generator as a right Cayley column on element indices,
+and the tree of first discoveries; the class sweep runs on those integers.
+A ``Permutation`` list of the elements is built only when ``elements`` is
+called.
 """
 
 from __future__ import annotations
@@ -165,9 +167,11 @@ Cayley = tuple[list[array], array, array]
 
 def _closure(
     degree: int, generators: Sequence[Permutation]
-) -> tuple[list[tuple[int, ...]], Cayley]:
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], Cayley]:
     """Breadth-first closure over the generators on image tuples, from the
-    identity, recording every product it takes in the Cayley columns."""
+    identity, recording every product it takes in the Cayley columns;
+    returns the tuples, the dict from each tuple to its position, and the
+    columns with the tree."""
     gens = [g.images for g in generators]
     identity = tuple(range(degree))
     out = [identity]
@@ -192,14 +196,15 @@ def _closure(
                 edge.append(e)
             record(j)
     columns = [array("i", column) for column in right]
-    return out, (columns, array("i", parent), array("i", edge))
+    return out, index, (columns, array("i", parent), array("i", edge))
 
 
 class PermGroup:
     """A finite permutation group given by generators on {1..degree}.
 
     The identity is always a member, even if not listed.  The stabilizer
-    chain and the element list (with its Cayley columns) are each built at
+    chain, the enumeration (image tuples, their index and the Cayley
+    columns) and the ``Permutation`` list of ``elements`` are each built at
     most once and shared by later calls; construction is guarded so
     concurrent readers are safe.
     """
@@ -220,8 +225,10 @@ class PermGroup:
         self._lock = threading.Lock()
         self._chain: _Chain | None = None
         self._order: int | None = None
-        self._elements: list[Permutation] | None = None
+        self._images: list[tuple[int, ...]] | None = None
+        self._index: dict[tuple[int, ...], int] | None = None
         self._cayley: Cayley | None = None
+        self._elements: list[Permutation] | None = None
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -252,11 +259,25 @@ class PermGroup:
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (checked against the exact chain order up front).
-        The same closure records the Cayley columns and the tree of the
-        enumeration; see ``cayley``.
+        The list wraps the tuples of ``indexed_images`` and is built on the
+        first call only; the closure behind it runs once for all three
+        accessors (see ``cayley``).
         """
-        self._enumerate(cap)
+        images, _ = self.indexed_images(cap)
+        if self._elements is None:
+            with self._lock:
+                if self._elements is None:
+                    self._elements = [Permutation._trusted(q) for q in images]
         return self._elements
+
+    def indexed_images(
+        self, cap: int = DEFAULT_CAP
+    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+        """``(images, index)``: the image tuples of ``elements(cap)``, in the
+        same order, and the dict from each tuple to its position.  No
+        ``Permutation`` is built."""
+        self._enumerate(cap)
+        return self._images, self._index
 
     def cayley(self, cap: int = DEFAULT_CAP) -> Cayley:
         """``(right, parent, edge)``: what the closure of ``elements(cap)``
@@ -275,12 +296,14 @@ class PermGroup:
         order = self.order()
         if order > cap:
             raise CapExceeded(order, cap)
-        if self._elements is None:
+        if self._images is None:
             with self._lock:
-                if self._elements is None:
-                    # _cayley first: a reader that sees _elements sees both
-                    out, self._cayley = _closure(self.degree, self.generators)
-                    self._elements = [Permutation._trusted(q) for q in out]
+                if self._images is None:
+                    out, self._index, self._cayley = _closure(
+                        self.degree, self.generators
+                    )
+                    # last: a reader that sees _images sees _index and _cayley
+                    self._images = out
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""

@@ -194,17 +194,16 @@ def invert_images(images: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def power(p: Permutation, k: int) -> Permutation:
-    """p**k by exponent reduction mod the element order, then
-    square-and-multiply; k may be zero or negative."""
-    k %= p.order()
-    result = Permutation.identity(p.degree)
-    base = p
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
+    """p**k from the cycle decomposition: every point moves k steps along
+    its cycle, k reduced mod the cycle's length; k may be zero, negative or
+    far larger than the order."""
+    out = list(range(p.degree))
+    for cycle in p.cycles():
+        s = k % len(cycle)
+        if s:
+            for a, b in zip(cycle, cycle[s:] + cycle[:s]):
+                out[a] = b
+    return Permutation._trusted(tuple(out))
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:

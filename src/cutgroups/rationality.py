@@ -124,8 +124,9 @@ def residues_coprime(n: int) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _units(n: int) -> tuple[int, ...]:
-    """residues_coprime(n) as a tuple, computed once per n: every class of
-    one order, and every table of one exponent, shares it."""
+    """residues_coprime(n) as a tuple, computed once per class order n:
+    every class of one order shares it, in a table or among the split
+    classes of an alternating group."""
     return tuple(residues_coprime(n))
 
 
@@ -143,7 +144,7 @@ def _field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:
     """
     distinct = {(o, frozenset(stab)) for o, stab in pairs}
     conditions = [
-        (o, stab) for o, stab in distinct if len(stab) < len(residues_coprime(o))
+        (o, stab) for o, stab in distinct if len(stab) < len(_units(o))
     ]
     units = residues_coprime(math.lcm(*(o for o, _ in conditions)))
     fixed = sum(
@@ -295,7 +296,7 @@ def qg_degree_alternating(n: int, bound: int = 14) -> int:
         if d.splits:
             o = d.rep_order
             stab = [
-                k for k in residues_coprime(o) if alternating_power_conjugate(d, k)
+                k for k in _units(o) if alternating_power_conjugate(d, k)
             ]
             split_stabs.append((o, stab))
     return _field_degree(split_stabs)

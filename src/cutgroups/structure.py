@@ -5,8 +5,10 @@ All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
 solvability) work beyond it.  The class sweep runs on element indices: it
 reads conjugation off the Cayley columns and the breadth-first tree that
-the enumeration recorded (``PermGroup.cayley``), so it makes no image tuple
-and no Permutation at all; the power map computes a row by successive
+the enumeration recorded (``PermGroup.cayley``), makes no image tuple, and
+wraps only the class reps as Permutations.  ``class_of`` reads the
+enumeration's own ``tuple -> index`` dict (``PermGroup.indexed_images``)
+through a per-index class list.  The power map computes a row by successive
 products only for a class that is not a power of an earlier one, so at most
 one row per Galois orbit of classes, and derives every other row from it.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from operator import attrgetter
+from collections.abc import Iterator, Mapping
 
 from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
@@ -65,10 +67,35 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+class ClassOf(Mapping):
+    """Read-only map from an element's image tuple to its class index:
+    ``classes[index[t]]``, with ``index`` the enumeration's ``tuple ->
+    position`` dict and ``classes`` the class of each position."""
+
+    __slots__ = ("index", "classes")
+
+    def __init__(self, index: dict[tuple[int, ...], int], classes: list[int]):
+        self.index = index
+        self.classes = classes
+
+    def __getitem__(self, images: tuple[int, ...]) -> int:
+        return self.classes[self.index[images]]
+
+    def __contains__(self, images: object) -> bool:
+        return images in self.index
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 class ClassTable:
     """Conjugacy classes of a group: representatives in deterministic order,
-    sizes, an element-to-class map, and the power map of every class, built
-    here and never changed afterwards.
+    sizes, an element-to-class map (``class_of``, a ClassOf over ``index``
+    and ``classes``), and the power map of every class, built here and never
+    changed afterwards.
 
     reps[0] is always the identity class; power_map[c][k] is the class of
     reps[c] ** k for k in 0..rep_orders[c]-1.
@@ -86,12 +113,13 @@ class ClassTable:
         group: PermGroup,
         reps: list[Permutation],
         sizes: list[int],
-        class_of: dict[tuple[int, ...], int],
+        index: dict[tuple[int, ...], int],
+        classes: list[int],
     ):
         self.group = group
         self.reps = reps
         self.sizes = sizes
-        self.class_of = class_of
+        self.class_of = ClassOf(index, classes)
         identity = reps[0].images
         rows: list[list[int] | None] = [None] * len(reps)
         for c, rep in enumerate(reps):
@@ -100,7 +128,7 @@ class ClassTable:
             x = images = rep.images
             row = [0]
             while x != identity:
-                row.append(class_of[x])
+                row.append(classes[index[x]])
                 x = then_images(x, images)
             rows[c] = row
             o = len(row)
@@ -132,15 +160,17 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
 
     The sweep runs on element indices: the conjugation action of each
     generator is an integer permutation read from the enumeration's Cayley
-    columns (see _conjugation_actions), and classes are its orbits.
+    columns (see _conjugation_actions), and classes are its orbits.  Only
+    the reps are wrapped as Permutations; ``class_of`` shares the
+    enumeration's index.
     """
-    elems = G.elements(cap)
+    images, index = G.indexed_images(cap)
     actions = _conjugation_actions(G.cayley(cap))
-    cls = [-1] * len(elems)
+    cls = [-1] * len(images)
     reps: list[Permutation] = []
     sizes: list[int] = []
-    for x, rep in enumerate(elems):
-        if cls[x] >= 0:
+    for x, c in enumerate(cls):
+        if c >= 0:
             continue
         idx = len(reps)
         cls[x] = idx
@@ -151,11 +181,9 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                 if cls[z] < 0:
                     cls[z] = idx
                     members.append(z)
-        reps.append(rep)
+        reps.append(Permutation._trusted(images[x]))
         sizes.append(len(members))
-    del actions  # before the class_of dict, to keep the peak down
-    class_of = dict(zip(map(attrgetter("images"), elems), cls))
-    return ClassTable(G, reps, sizes, class_of)
+    return ClassTable(G, reps, sizes, index, cls)
 
 
 def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
@@ -234,6 +262,10 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     listing the whole normalizer.  Deterministic because every scan follows
     the enumeration order.  Returns the group the last step built, or the
     trivial group when p does not divide |G|.
+
+    The scans of one call share one list of the elements reached so far,
+    each wrapped as a Permutation once, so its cached order serves every
+    later scan; elements past the last scan's stop are never wrapped.
     """
     if not is_prime(p):
         raise BadParam(f"p must be prime, got {p}")
@@ -243,16 +275,24 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     target = p_part(order, p)
     if target == 1:
         return trivial_group(G.degree)
-    elems = G.elements(cap)
+    images, _ = G.indexed_images(cap)
+    wrapped: list[Permutation] = []
+
+    def in_order() -> Iterator[Permutation]:
+        yield from wrapped
+        for t in images[len(wrapped) :]:
+            wrapped.append(Permutation._trusted(t))
+            yield wrapped[-1]
+
     gens: list[Permutation] = []
-    for x in elems:
+    for x in in_order():
         o = x.order()
         if o % p == 0:
             gens.append(x ** (o // p_part(o, p)))
             break
     P = PermGroup(G.degree, gens)
     while P.order() < target:
-        for y in elems:
+        for y in in_order():
             o = y.order()
             if o % p or not _normalizes(y, P):
                 continue  # a p'-element's p-part is the identity
@@ -279,19 +319,23 @@ def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGrou
     the group of ``table``, lies in P; for P Sylow this is O_p(G).
 
     A class of G lies in P exactly when P holds all its members, so it is
-    counted, not listed.  The core grows greedily over P's enumeration.
+    counted, not listed.  The core grows greedily over P's enumeration;
+    only the members of such classes are wrapped as Permutations.
     """
     if P.order() == 1:
         return P
-    elems = P.elements(cap)
-    classes = [table.class_of[e.images] for e in elems]
+    images, _ = P.indexed_images(cap)
+    index, class_list = table.class_of.index, table.class_of.classes
+    classes = [class_list[index[t]] for t in images]
     hits = Counter(classes)
     gens: list[Permutation] = []
     core = trivial_group(P.degree)
-    for e, c in zip(elems, classes):
-        if hits[c] == table.sizes[c] and not core.contains(e):
-            gens.append(e)
-            core = PermGroup(P.degree, gens)
+    for t, c in zip(images, classes):
+        if hits[c] == table.sizes[c]:
+            e = Permutation._trusted(t)
+            if not core.contains(e):
+                gens.append(e)
+                core = PermGroup(P.degree, gens)
     return core
 
 

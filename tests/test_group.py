@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, iterated_wreath, symmetric
+from cutgroups.structure import conjugacy_classes
 
 
 def brute_closure(gens):
@@ -192,6 +196,71 @@ class TestCayley:
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
             symmetric(5).cayley(cap=100)
+
+
+class TestOneEnumeration:
+    """The closure's tuples and index are the elements' one representation:
+    the class table wraps only its reps, and every accessor shares them."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: symmetric(6), lambda: iterated_wreath(3, 2)],
+        ids=["S6", "wreath-sylnorm-3-2"],
+    )
+    def test_class_table_wraps_only_reps(self, build, monkeypatch):
+        G = build()
+        made = []
+        trusted = Permutation._trusted.__func__
+        monkeypatch.setattr(
+            Permutation,
+            "_trusted",
+            classmethod(lambda cls, images: made.append(images) or trusted(cls, images)),
+        )
+        table = conjugacy_classes(G)
+        assert made == [rep.images for rep in table.reps]
+        monkeypatch.undo()
+        assert [e.images for e in G.elements()] == layered_closure(G)
+
+    def test_concurrent_readers_share_one_enumeration(self, monkeypatch):
+        from cutgroups import group
+
+        calls = []
+        closure = group._closure
+
+        def slow_closure(*args):
+            calls.append(args)
+            time.sleep(0.05)  # widens the window in which a race would show
+            return closure(*args)
+
+        monkeypatch.setattr(group, "_closure", slow_closure)
+        G = symmetric(6)
+        reads = [G.elements, G.cayley, G.indexed_images, lambda: conjugacy_classes(G)]
+        barrier = threading.Barrier(8, timeout=30)
+        results = [None] * 8
+
+        def read(i):
+            barrier.wait()
+            # each thread takes the accessors in its own rotation
+            got = {r: reads[r]() for r in [(i + j) % 4 for j in range(4)]}
+            results[i] = [got[r] for r in range(4)]
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so races show
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        elems, cayley, (images, index), table = results[0]
+        assert [e.images for e in elems] == images
+        for e, c, (im, ix), t in results:
+            assert e is elems and c is cayley and im is images and ix is index
+            assert t.class_of.index is index
+            assert t.reps == table.reps and t.sizes == table.sizes
 
 
 class TestChain:

@@ -21,6 +21,20 @@ from cutgroups.perm import (
 )
 
 
+def square_and_multiply(p, k):
+    """Oracle for power: p**k by exponent reduction mod the element order,
+    then repeated squaring."""
+    k %= p.order()
+    result = Permutation.identity(p.degree)
+    base = p
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        k >>= 1
+    return result
+
+
 def perm_strategy(max_degree=12):
     return st.integers(min_value=1, max_value=max_degree).flatmap(
         lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -142,6 +156,15 @@ class TestInversePower:
     def test_power_periodic(self, images, k):
         p = Permutation(images)
         assert power(p, k + p.order()) == power(p, k)
+
+    @settings(max_examples=200)
+    @given(
+        perm_strategy(),
+        st.one_of(st.integers(-60, 60), st.integers(-(10 ** 30), 10 ** 30)),
+    )
+    def test_power_matches_square_and_multiply(self, p, k):
+        assert power(p, k) == square_and_multiply(p, k)
+        assert p ** k == square_and_multiply(p, k)
 
 
 class TestOrder:

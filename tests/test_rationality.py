@@ -428,8 +428,11 @@ class TestFieldDegreeKernel:
         assert _field_degree(once + [(5, [4, 1]), (3, {1}), (5, (1, 4))]) == 4
 
     def test_alternating_keeps_units_out_of_the_cache(self):
-        # cleared first, so that an earlier test cannot have cached them
+        # the units of the split classes' orders are cached, those of their
+        # lcm are not; cleared first, so that an earlier test cannot have
+        # cached any
         rationality._units.cache_clear()
-        before = rationality._units.cache_info().currsize
         assert qg_degree_alternating(14) == qg_degree_alternating_exponent_wide(14)
-        assert rationality._units.cache_info().currsize == before
+        orders = {d.rep_order for d in alternating_classes(14) if d.splits}
+        assert math.lcm(*orders) not in orders
+        assert rationality._units.cache_info().currsize == len(orders)

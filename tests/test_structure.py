@@ -137,7 +137,8 @@ def tuple_sweep_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                     members.append(z)
         reps.append(x)
         sizes.append(len(members))
-    return ClassTable(G, reps, sizes, class_of)
+    index = {t: i for i, t in enumerate(class_of)}
+    return ClassTable(G, reps, sizes, index, list(class_of.values()))
 
 
 @st.composite
@@ -267,6 +268,18 @@ class TestIndexSweepAgainstTupleSweep:
     @pytest.mark.parametrize("degree", [1, 2, 5])
     def test_trivial_group(self, degree):
         self.assert_same_table(trivial_group(degree))
+
+    def test_class_of_is_a_read_only_mapping(self):
+        G = alternating(4)
+        T = conjugacy_classes(G)
+        members = {e.images for e in G.elements()}
+        assert len(T.class_of) == 12 and set(T.class_of) == members
+        odd = parse_permutation("(1 2)", 4)
+        assert odd.images not in T.class_of
+        with pytest.raises(ValueError, match="not a member"):
+            T.class_index(odd)
+        with pytest.raises(TypeError):
+            T.class_of[odd.images] = 0
 
     def test_bundled_groups(self):
         records = [
