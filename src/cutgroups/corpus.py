@@ -35,8 +35,7 @@ from .errors import (
 )
 from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
 from .perm import format_permutation, parse_permutation
-from .rationality import CHECKS, GroupReport, group_rationality
-from .structure import sylow
+from .rationality import CHECKS, Analysis, GroupReport, group_rationality
 
 # syl2 is informational: it fills the row's sylow2_cut, not a check result.
 ALL_CHECKS = tuple(CHECKS) + ("syl2",)
@@ -209,10 +208,11 @@ def _analyze_payload(payload: dict) -> dict:
     try:
         gens = [parse_permutation(t, degree) for t in payload["gens"]]
         G = PermGroup(degree, gens)
-        report = group_rationality(G, cap, payload["checks"])
+        analysis = Analysis(G, cap)
+        report, results = analysis.report, analysis.run(payload["checks"])
         sylow2_cut = None
         if payload["syl2"] and report.is_cut:
-            sylow2_cut = group_rationality(sylow(G, 2, cap), cap).is_cut
+            sylow2_cut = group_rationality(analysis.sylow(2), cap).is_cut
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     except Exception as e:
@@ -222,7 +222,7 @@ def _analyze_payload(payload: dict) -> dict:
         "row": {
             "id": rid,
             **report.summary(),
-            "checks": {n: r.as_dict() for n, r in report.check_results.items()},
+            "checks": {n: r.as_dict() for n, r in results.items()},
             "sylow2_cut": sylow2_cut,
         },
     }

@@ -3,19 +3,22 @@ derived series, exponents.
 
 All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
-solvability) work beyond it.  The class sweep runs on element indices: it
-reads conjugation off the Cayley columns and the breadth-first tree that
-the enumeration recorded (``PermGroup.cayley``), makes no image tuple, and
-wraps only the class reps as Permutations.  ``class_of`` reads the
-enumeration's own ``tuple -> index`` dict (``PermGroup.indexed_images``)
+solvability, exp(P/P')) work beyond it.  The class sweep runs on element
+indices: it reads conjugation off the Cayley columns and the breadth-first
+tree that the enumeration recorded (``PermGroup.cayley``), makes no image
+tuple, and wraps only the class reps as Permutations.  ``class_of`` reads
+the enumeration's own ``tuple -> index`` dict (``PermGroup.indexed_images``)
 through a per-index class list.  The power map computes a row by successive
 products only for a class that is not a power of an earlier one, so at most
 one row per Galois orbit of classes, and derives every other row from it.
 
+The class table answers the Sylow and p-core questions: an element's order
+is its class rep's, so the Sylow scans skip p'-elements by a lookup, and
+O_p(G) is the union of the classes of G that lie wholly in a Sylow
+p-subgroup (core_classes), so its order and exponent are class sums.
 Subgroups are plain PermGroups: sylow, p_core and derived_subgroup return
 the group their growth loop built last, chain included, or the trivial
-group.  A p-core keeps the classes of G that lie wholly in the Sylow
-subgroup, found by counting the subgroup's members per class.
+group.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import math
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping
 
-from .errors import BadParam, CapExceeded
+from .errors import BadParam
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
-from .perm import Permutation, commutator, compose, invert_images, then_images
+from .perm import Permutation, commutator, compose, then_images
 
 
 def is_prime(n: int) -> bool:
@@ -214,12 +217,6 @@ def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
     return actions
 
 
-def _conjugating_pairs(G: PermGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(g⁻¹, g) image tuples of every generator: y ** g is
-    then_images(then_images(g⁻¹, y), g)."""
-    return [(invert_images(g.images), g.images) for g in G.generators]
-
-
 def are_conjugate(
     G: PermGroup, x: Permutation, y: Permutation, cap: int = DEFAULT_CAP
 ) -> bool:
@@ -229,23 +226,6 @@ def are_conjugate(
     return table.class_index(x) == table.class_index(y)
 
 
-def class_conjugators(
-    G: PermGroup, rep: Permutation
-) -> dict[tuple[int, ...], Permutation]:
-    """Map each member y of rep's class to a conjugator u with rep ** u = y."""
-    gens = _conjugating_pairs(G)
-    conjugator = {rep.images: tuple(range(G.degree))}
-    members = [rep.images]
-    for y in members:  # the breadth-first queue
-        u = conjugator[y]
-        for g_inv, g in gens:
-            z = then_images(then_images(g_inv, y), g)
-            if z not in conjugator:
-                conjugator[z] = then_images(u, g)
-                members.append(z)
-    return {y: Permutation._trusted(u) for y, u in conjugator.items()}
-
-
 def _normalizes(g: Permutation, H: PermGroup) -> bool:
     """g normalizes H iff every generator of H conjugates into H (the
     conjugate subgroup has the same order, so containment forces equality)."""
@@ -253,49 +233,42 @@ def _normalizes(g: Permutation, H: PermGroup) -> bool:
 
 
 def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """A Sylow p-subgroup via normalizer growth.
-
-    Start from the p-part of the first element of order divisible by p;
-    while the subgroup is smaller than the p-part of |G|, adjoin the p-part
-    of the first normalizer element that lands outside it.  Each growth
-    step scans the enumeration lazily and stops at that element, never
-    listing the whole normalizer.  Deterministic because every scan follows
-    the enumeration order.  Returns the group the last step built, or the
-    trivial group when p does not divide |G|.
-
-    The scans of one call share one list of the elements reached so far,
-    each wrapped as a Permutation once, so its cached order serves every
-    later scan; elements past the last scan's stop are never wrapped.
-    """
+    """A Sylow p-subgroup via normalizer growth (see _sylow), from a class
+    table of G built for this call."""
     if not is_prime(p):
         raise BadParam(f"p must be prime, got {p}")
-    order = G.order()
-    if order > cap:
-        raise CapExceeded(order, cap)
-    target = p_part(order, p)
-    if target == 1:
-        return trivial_group(G.degree)
-    images, _ = G.indexed_images(cap)
-    wrapped: list[Permutation] = []
+    return _sylow(conjugacy_classes(G, cap), p)
 
-    def in_order() -> Iterator[Permutation]:
-        yield from wrapped
-        for t in images[len(wrapped) :]:
-            wrapped.append(Permutation._trusted(t))
-            yield wrapped[-1]
 
+def _sylow(table: ClassTable, p: int) -> PermGroup:
+    """A Sylow p-subgroup of the group G of ``table`` via normalizer growth.
+
+    While the subgroup is smaller than the p-part of |G|, adjoin the p-part
+    of the first normalizer element that lands outside it (at first the
+    subgroup is trivial, so that is the first element of order divisible
+    by p).  Each growth step scans the enumeration lazily and stops at that
+    element, never listing the whole normalizer.  Deterministic because
+    every scan follows the enumeration order.  Returns the group the last
+    step built, or the trivial group when p does not divide |G|.
+
+    An element's order is its class rep's, so the scans skip p'-elements by
+    a lookup and wrap as Permutations only the elements they test.
+    """
+    G = table.group
+    target = p_part(G.order(), p)
+    index, classes = table.class_of.index, table.class_of.classes
+    orders = table.rep_orders
     gens: list[Permutation] = []
-    for x in in_order():
-        o = x.order()
-        if o % p == 0:
-            gens.append(x ** (o // p_part(o, p)))
-            break
-    P = PermGroup(G.degree, gens)
+    P = trivial_group(G.degree)
     while P.order() < target:
-        for y in in_order():
-            o = y.order()
-            if o % p or not _normalizes(y, P):
+        # the index dict iterates in enumeration order
+        for t, c in zip(index, classes):
+            o = orders[c]
+            if o % p:
                 continue  # a p'-element's p-part is the identity
+            y = Permutation._trusted(t)
+            if not _normalizes(y, P):
+                continue
             z = y ** (o // p_part(o, p))
             if not P.contains(z):
                 gens.append(z)
@@ -308,35 +281,43 @@ def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
 
 def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """O_p(G), the largest normal p-subgroup."""
-    P = sylow(G, p, cap)
-    if P.order() == 1:
-        return P
-    return core_of(P, conjugacy_classes(G, cap), cap)
+    if not is_prime(p):
+        raise BadParam(f"p must be prime, got {p}")
+    table = conjugacy_classes(G, cap)
+    return core_of(_sylow(table, p), table, cap)
+
+
+def core_classes(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> set[int]:
+    """The classes of G, the group of ``table``, that lie wholly in its
+    subgroup P.  For P Sylow their union is O_p(G), the intersection of the
+    conjugates of P: its order is the sum of their sizes and its exponent
+    the lcm of their rep orders.
+
+    A class lies in P exactly when P holds all its members, so P's members
+    are counted per class, not listed.
+    """
+    images, _ = P.indexed_images(cap)
+    index, class_list = table.class_of.index, table.class_of.classes
+    hits = Counter(class_list[index[t]] for t in images)
+    return {c for c, n in hits.items() if n == table.sizes[c]}
 
 
 def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGroup:
     """The subgroup of the elements of P whose whole conjugacy class in G,
-    the group of ``table``, lies in P; for P Sylow this is O_p(G).
-
-    A class of G lies in P exactly when P holds all its members, so it is
-    counted, not listed.  The core grows greedily over P's enumeration;
-    only the members of such classes are wrapped as Permutations.
+    the group of ``table``, lies in P (see core_classes); for P Sylow this
+    is O_p(G).  It grows greedily over P's enumeration, and only the
+    members of those classes are wrapped as Permutations.
     """
-    if P.order() == 1:
-        return P
-    images, _ = P.indexed_images(cap)
-    index, class_list = table.class_of.index, table.class_of.classes
-    classes = [class_list[index[t]] for t in images]
-    hits = Counter(classes)
+    core = core_classes(P, table, cap)
     gens: list[Permutation] = []
-    core = trivial_group(P.degree)
-    for t, c in zip(images, classes):
-        if hits[c] == table.sizes[c]:
+    group = trivial_group(P.degree)
+    for t in P.indexed_images(cap)[0]:
+        if table.class_of[t] in core:
             e = Permutation._trusted(t)
-            if not core.contains(e):
+            if not group.contains(e):
                 gens.append(e)
-                core = PermGroup(P.degree, gens)
-    return core
+                group = PermGroup(P.degree, gens)
+    return group
 
 
 def derived_subgroup(H: PermGroup) -> PermGroup:
@@ -405,10 +386,12 @@ def is_elementary_abelian(H: PermGroup, p: int) -> bool:
     return p % exp == 0
 
 
-def abelianization_exponent_divides(
-    P: PermGroup, p: int, cap: int = DEFAULT_CAP
-) -> bool:
-    """True iff x**p lies in P' for every x in P, i.e. exp(P/P') divides p,
-    without constructing the quotient."""
+def abelianization_exponent_divides(P: PermGroup, p: int) -> bool:
+    """True iff x**p lies in P' for every x in P, i.e. exp(P/P') divides p.
+
+    P/P' is abelian and generated by the images of P's generators, so it is
+    enough that g**p lies in P' for each generator g.  Nothing is
+    enumerated, so this works beyond the cap.
+    """
     D = derived_subgroup(P)
-    return all(D.contains(x ** p) for x in P.elements(cap))
+    return all(D.contains(g ** p) for g in P.generators)

@@ -27,8 +27,9 @@ from cutgroups.errors import (
     DuplicateId,
     OrderMismatch,
 )
-from cutgroups.group import PermGroup
+from cutgroups.group import DEFAULT_CAP, PermGroup
 from cutgroups.perm import Permutation, format_permutation
+from cutgroups.rationality import CHECKS
 from cutgroups.constructions import cyclic, symmetric
 
 
@@ -150,6 +151,28 @@ class TestRunSurvey:
         rows = {row["id"]: row for row in report.rows}
         assert rows["s3"]["sylow2_cut"] is True  # C2 is cut
         assert rows["c5"]["sylow2_cut"] is None  # not a cut group, not computed
+
+    def test_no_check_lists_a_group(self, monkeypatch):
+        # the checks read element orders, p-cores and class membership off
+        # the class table; a Permutation list of any group would raise here
+        records = sorted(parse_corpus(bundled_corpus_path()), key=lambda r: r.id)
+
+        def no_elements(group, cap=DEFAULT_CAP):
+            raise AssertionError("PermGroup.elements called")
+
+        monkeypatch.setattr(PermGroup, "elements", no_elements)
+        for r in records:
+            outcome = corpus._analyze_payload({
+                "id": r.id,
+                "degree": r.degree,
+                "gens": list(r.generator_texts),
+                "cap": DEFAULT_CAP,
+                "checks": tuple(CHECKS),
+                "syl2": True,
+            })
+            assert "error" not in outcome, outcome
+            assert "row" in outcome
+        assert len(records) == 172
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_rejected(self, workers):

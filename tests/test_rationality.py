@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from cutgroups.alternating import alternating_classes, alternating_power_conjuga
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BoundExceeded
 from cutgroups.group import PermGroup
-from cutgroups.perm import Permutation, parse_permutation
+from cutgroups.perm import Permutation, invert_images, parse_permutation, then_images
 from cutgroups import rationality
 from cutgroups.group import DEFAULT_CAP
 from cutgroups import perm
@@ -262,6 +263,75 @@ class TestLemma61Check:
         assert lemma61_check(G).status == PASS
 
 
+    def test_fail_names_the_class_of_g(self):
+        # flip the Sylow verdicts: the FAIL names the first 3-element class
+        # of G in G's class order
+        G = direct_product(symmetric(3), symmetric(3))
+        a = Analysis(G)
+        sub = a.sylow_analysis(3)
+        sub.classes = [
+            replace(r, is_inverse_semirational=not r.is_inverse_semirational)
+            for r in sub.classes
+        ]
+        first = next(c for c, o in enumerate(a.table.rep_orders) if o == 3)
+        r = CHECKS["lemma61"](a)
+        assert r.status == FAIL
+        assert r.detail == (
+            f"class of {a.table.reps[first]}: inverse semi-rational in G is"
+            " True but False in the Sylow 3-subgroup"
+        )
+
+
+def class_conjugators(G, rep):
+    """Map each member y of rep's class to a conjugator u with rep ** u = y:
+    the search lemma61 made to find a member of a class inside the Sylow
+    subgroup before it read that off the class table."""
+    gens = [(invert_images(g.images), g.images) for g in G.generators]
+    conjugator = {rep.images: tuple(range(G.degree))}
+    members = [rep.images]
+    for y in members:  # the breadth-first queue
+        u = conjugator[y]
+        for g_inv, g in gens:
+            z = then_images(then_images(g_inv, y), g)
+            if z not in conjugator:
+                conjugator[z] = then_images(u, g)
+                members.append(z)
+    return {y: Permutation._trusted(u) for y, u in conjugator.items()}
+
+
+class TestClassConjugators:
+    def test_conjugator_words_valid(self):
+        G = symmetric(4)
+        T = conjugacy_classes(G)
+        for rep in T.reps:
+            for images, u in class_conjugators(G, rep).items():
+                assert rep.conjugate_by(u).images == images
+
+    def test_bundled_members_agree_with_the_class_of_walk(self):
+        # lemma61 maps every class of P into G through class_of; the member
+        # the conjugator search finds first must get the same Sylow verdict
+        checked = 0
+        for record in parse_corpus(bundled_corpus_path()):
+            a = Analysis(record.group)
+            table = a.table
+            sub = a.sylow_analysis(3)
+            walk = {}
+            for rep, r in zip(sub.table.reps, sub.classes):
+                c = table.class_of[rep.images]
+                walk.setdefault(c, set()).add(r.is_inverse_semirational)
+            for c, o in enumerate(table.rep_orders):
+                if o == 1 or not rationality._is_power_of(o, 3):
+                    continue
+                member = next(
+                    y for y in class_conjugators(a.G, table.reps[c])
+                    if y in sub.table.class_of
+                )
+                verdict = sub.classes[sub.table.class_of[member]].is_inverse_semirational
+                assert walk[c] == {verdict}, (record.id, c)
+                checked += 1
+        assert checked > 100
+
+
 class TestConjectureSuite:
     def test_c7_everything_skipped(self):
         results = conjecture_suite(cyclic(7))
@@ -304,18 +374,18 @@ def test_each_fact_is_computed_once(monkeypatch):
     G = symmetric(4)
     sylow_calls = []
     table_groups = []
-    real_sylow = rationality.sylow
+    real_sylow = rationality._sylow
     real_classes = rationality.conjugacy_classes
 
-    def counting_sylow(H, p, cap):
-        sylow_calls.append((H, p))
-        return real_sylow(H, p, cap)
+    def counting_sylow(table, p):
+        sylow_calls.append((table.group, p))
+        return real_sylow(table, p)
 
     def counting_classes(H, cap):
         table_groups.append(H)
         return real_classes(H, cap)
 
-    monkeypatch.setattr(rationality, "sylow", counting_sylow)
+    monkeypatch.setattr(rationality, "_sylow", counting_sylow)
     monkeypatch.setattr(rationality, "conjugacy_classes", counting_classes)
     report = group_rationality(G, DEFAULT_CAP, tuple(CHECKS))
 

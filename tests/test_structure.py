@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -12,15 +13,15 @@ from cutgroups.perm import (
     Permutation,
     commutator,
     compose,
+    invert_images,
     parse_permutation,
     then_images,
 )
+from cutgroups.rationality import Analysis
 from cutgroups.structure import (
     ClassTable,
-    _conjugating_pairs,
     abelianization_exponent_divides,
     are_conjugate,
-    class_conjugators,
     conjugacy_classes,
     derived_subgroup,
     exponent,
@@ -37,8 +38,10 @@ from cutgroups.constructions import (
     cyclic,
     dicyclic,
     dihedral,
+    iterated_wreath,
     sylnorm,
     symmetric,
+    wreath,
 )
 
 
@@ -119,7 +122,7 @@ def tuple_sweep_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     order = G.order()
     if order > cap:
         raise CapExceeded(order, cap)
-    gens = _conjugating_pairs(G)
+    gens = [(invert_images(g.images), g.images) for g in G.generators]
     class_of: dict[tuple[int, ...], int] = {}
     reps: list[Permutation] = []
     sizes: list[int] = []
@@ -368,15 +371,6 @@ class TestDerivedPowerRows:
         assert T.rep_orders == [rep.order() for rep in T.reps]
 
 
-class TestClassConjugators:
-    def test_conjugator_words_valid(self):
-        G = symmetric(4)
-        T = conjugacy_classes(G)
-        for rep in T.reps:
-            for images, u in class_conjugators(G, rep).items():
-                assert rep.conjugate_by(u).images == images
-
-
 def normalizer(G, H, cap=DEFAULT_CAP):
     """N_G(H), generated by the whole filtered enumeration of G."""
     return PermGroup(G.degree, normalizer_members(G, H, cap))
@@ -479,6 +473,21 @@ class TestSylowAgainstEagerScan:
         assert checked > 100
 
 
+def conjugation_closed_core(G, P):
+    """The image tuples of the intersection of the conjugates of P: the
+    largest subset of P that conjugation by G's generators maps into
+    itself, found by dropping members until none leaves."""
+    core = {x.images for x in P.elements()}
+    while True:
+        kept = {
+            t for t in core
+            if all(Permutation(t).conjugate_by(g).images in core for g in G.generators)
+        }
+        if kept == core:
+            return core
+        core = kept
+
+
 class TestPCore:
     def test_trivial_when_p_absent(self):
         assert p_core(cyclic(3), 2).order() == 1
@@ -503,6 +512,24 @@ class TestPCore:
         for x in core.generators:
             for g in G.generators:
                 assert core.contains(x.conjugate_by(g))
+
+    def test_bundled_cores_match_class_sums(self):
+        # Analysis reads the order and exponent of O_p(G) off the classes of
+        # G that lie wholly in P; the core group with its enumerated
+        # exponent, and the intersection of P's conjugates, are the oracles
+        pairs = 0
+        for r in parse_corpus(bundled_corpus_path()):
+            G = r.group
+            analysis = Analysis(G)
+            for p in prime_divisors(G.order()):
+                core = p_core(G, p)
+                expected = (core.order(), exponent(core))
+                assert analysis.p_core(p) == expected, (r.id, p)
+                members = conjugation_closed_core(G, sylow(G, p))
+                orders = [Permutation(t).order() for t in members]
+                assert (len(members), math.lcm(*orders)) == expected, (r.id, p)
+                pairs += 1
+        assert pairs == 302
 
     def test_core_inside_conjugate_sylows(self):
         G = symmetric(4)
@@ -607,12 +634,63 @@ class TestElementaryAbelian:
         assert not is_elementary_abelian(symmetric(3), 2)
 
 
+def enumerated_abelianization_exponent_divides(P, p, cap=DEFAULT_CAP):
+    """Oracle for abelianization_exponent_divides: x**p in P' for every
+    element x of P, over the whole enumeration."""
+    D = derived_subgroup(P)
+    return all(D.contains(x ** p) for x in P.elements(cap))
+
+
+# the 3-groups whose random subgroups small_three_groups draws
+THREE_GROUP_HOSTS = (
+    lambda: iterated_wreath(3, 2),  # C3 wr C3, order 81
+    lambda: abelian([9, 3, 3]),
+    heisenberg27,
+    lambda: wreath(cyclic(9), cyclic(3)),  # order 2187
+)
+
+
+@functools.cache
+def three_group_host(i: int) -> PermGroup:
+    return THREE_GROUP_HOSTS[i]()
+
+
+@st.composite
+def small_three_groups(draw):
+    """The subgroup of a 3-group host generated by 1-3 of its elements."""
+    host = three_group_host(draw(st.integers(0, len(THREE_GROUP_HOSTS) - 1)))
+    elems = host.elements()
+    picks = draw(st.lists(st.integers(0, len(elems) - 1), min_size=1, max_size=3))
+    return PermGroup(host.degree, [elems[i] for i in picks])
+
+
 class TestAbelianizationExponent:
     def test_exponent_p_abelian(self):
         assert abelianization_exponent_divides(cyclic(3), 3)
 
     def test_c9_fails(self):
         assert not abelianization_exponent_divides(cyclic(9), 3)
+
+    def test_beyond_the_cap(self):
+        # C3^11 has order 177,147: nothing is enumerated
+        G = abelian([3] * 11)
+        assert G.order() > DEFAULT_CAP
+        assert abelianization_exponent_divides(G, 3)
+
+    def test_bundled_sylow3_subgroups_match_enumeration(self):
+        checked = 0
+        for r in parse_corpus(bundled_corpus_path()):
+            P = sylow(r.group, 3)
+            expected = enumerated_abelianization_exponent_divides(P, 3)
+            assert abelianization_exponent_divides(P, 3) == expected, r.id
+            checked += 1
+        assert checked == 172
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_three_groups())
+    def test_random_three_groups_match_enumeration(self, P):
+        expected = enumerated_abelianization_exponent_divides(P, 3)
+        assert abelianization_exponent_divides(P, 3) == expected
 
     def test_extraspecial_27(self):
         H = heisenberg27()
