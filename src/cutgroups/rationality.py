@@ -427,20 +427,20 @@ def _lemma61(a: Analysis) -> CheckResult:
     if not three_classes:
         return CheckResult(PASS, "vacuous: no elements of 3-power order")
     sub = a.sylow_analysis(3)
-    # the verdicts of the classes of P, keyed by the class of G they lie in
-    in_p: dict[int, set[bool]] = {}
+    # per class of G: is some class of P inside it inverse semi-rational in P?
+    in_p: dict[int, bool] = {}
     for rep, r in zip(sub.table.reps, sub.classes):
         c = table.class_of[rep.images]
-        in_p.setdefault(c, set()).add(r.is_inverse_semirational)
+        in_p[c] = in_p.get(c, False) or r.is_inverse_semirational
     for c in three_classes:
         isr_in_g = a.classes[c].is_inverse_semirational
         if c not in in_p:  # every 3-element class meets every Sylow 3-subgroup
             raise AssertionError("class of a 3-element misses the Sylow subgroup")
-        if in_p[c] != {isr_in_g}:
+        if in_p[c] != isr_in_g:
             return CheckResult(
                 FAIL,
                 f"class of {table.reps[c]}: inverse semi-rational in G is"
-                f" {isr_in_g} but {not isr_in_g} in the Sylow 3-subgroup",
+                f" {isr_in_g} but {in_p[c]} in the Sylow 3-subgroup",
             )
     checked = sum(table.sizes[c] for c in three_classes)
     return CheckResult(
@@ -458,11 +458,10 @@ def sylow3_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
 
 
 def lemma61_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
-    """For every element of 3-power order, inverse semi-rationality in G must
-    match inverse semi-rationality in a Sylow 3-subgroup P.  Every class of
-    P is mapped to its class in G through G's class table, so every
-    3-element of P is checked.  This is a theorem: a FAIL means an
-    implementation bug, not a discovery."""
+    """A class of 3-elements is inverse semi-rational in G iff some member in
+    a Sylow 3-subgroup P is so in P (not every member need be), each class
+    of P mapped to its class in G by G's class table.  This is a theorem: a
+    FAIL means an implementation bug, not a discovery."""
     return CHECKS["lemma61"](Analysis(G, cap))
 
 

@@ -12,10 +12,9 @@ through a per-index class list.  The power map computes a row by successive
 products only for a class that is not a power of an earlier one, so at most
 one row per Galois orbit of classes, and derives every other row from it.
 
-The class table answers the Sylow and p-core questions: an element's order
-is its class rep's, so the Sylow scans skip p'-elements by a lookup, and
-O_p(G) is the union of the classes of G that lie wholly in a Sylow
-p-subgroup (core_classes), so its order and exponent are class sums.
+The Sylow scans read element orders off the class table, and O_p(G) is the
+union of the classes of G that lie wholly in a Sylow p-subgroup
+(core_classes), so its order and exponent are class sums.
 Subgroups are plain PermGroups: sylow, p_core and derived_subgroup return
 the group their growth loop built last, chain included, or the trivial
 group.
@@ -27,7 +26,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping
 
-from .errors import BadParam
+from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
 from .perm import Permutation, commutator, compose, then_images
 
@@ -234,9 +233,15 @@ def _normalizes(g: Permutation, H: PermGroup) -> bool:
 
 def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """A Sylow p-subgroup via normalizer growth (see _sylow), from a class
-    table of G built for this call."""
+    table of G built for this call; the trivial group, with no table, when
+    p does not divide |G|."""
     if not is_prime(p):
         raise BadParam(f"p must be prime, got {p}")
+    order = G.order()
+    if order > cap:
+        raise CapExceeded(order, cap)
+    if p_part(order, p) == 1:
+        return trivial_group(G.degree)
     return _sylow(conjugacy_classes(G, cap), p)
 
 

@@ -263,6 +263,30 @@ class TestLemma61Check:
         assert lemma61_check(G).status == PASS
 
 
+    def test_members_of_one_class_differ_in_p(self):
+        # C9^3 : A4, V4 acting by even sign changes and the 3-cycle by
+        # shifting the coordinates.  x = (1, 4, 7) is inverse semi-rational
+        # in P (shifting multiplies it by 4); its conjugate (8, 5, 7) lies in
+        # every Sylow 3-subgroup but is no eigenvector of the shift, so it is
+        # not.  lemma61 asks for some member of the class, not all.
+        def perm(f):
+            return Permutation([9 * f(b, i)[0] + f(b, i)[1] % 9
+                                for b in range(3) for i in range(9)])
+
+        t = perm(lambda b, i: (b, i + 1 if b == 0 else i))
+        e = perm(lambda b, i: (b, -i if b < 2 else i))
+        s = perm(lambda b, i: ((b + 1) % 3, i))
+        G = PermGroup(27, [t, e, s])
+        assert G.order() == 9 ** 3 * 12
+        a = Analysis(G)
+        sub = a.sylow_analysis(3)
+        verdicts = {}
+        for rep, r in zip(sub.table.reps, sub.classes):
+            c = a.table.class_of[rep.images]
+            verdicts.setdefault(c, set()).add(r.is_inverse_semirational)
+        assert any(v == {True, False} for v in verdicts.values())
+        assert CHECKS["lemma61"](a).status == PASS
+
     def test_fail_names_the_class_of_g(self):
         # flip the Sylow verdicts: the FAIL names the first 3-element class
         # of G in G's class order
@@ -308,8 +332,9 @@ class TestClassConjugators:
                 assert rep.conjugate_by(u).images == images
 
     def test_bundled_members_agree_with_the_class_of_walk(self):
-        # lemma61 maps every class of P into G through class_of; the member
-        # the conjugator search finds first must get the same Sylow verdict
+        # lemma61 maps every class of P into G through class_of and asks
+        # whether some member is inverse semi-rational in P; on the bundled
+        # groups the member the conjugator search finds first agrees
         checked = 0
         for record in parse_corpus(bundled_corpus_path()):
             a = Analysis(record.group)
@@ -318,7 +343,7 @@ class TestClassConjugators:
             walk = {}
             for rep, r in zip(sub.table.reps, sub.classes):
                 c = table.class_of[rep.images]
-                walk.setdefault(c, set()).add(r.is_inverse_semirational)
+                walk[c] = walk.get(c, False) or r.is_inverse_semirational
             for c, o in enumerate(table.rep_orders):
                 if o == 1 or not rationality._is_power_of(o, 3):
                     continue
@@ -327,7 +352,7 @@ class TestClassConjugators:
                     if y in sub.table.class_of
                 )
                 verdict = sub.classes[sub.table.class_of[member]].is_inverse_semirational
-                assert walk[c] == {verdict}, (record.id, c)
+                assert walk[c] == verdict, (record.id, c)
                 checked += 1
         assert checked > 100
 
