@@ -33,7 +33,7 @@ from .errors import (
     DuplicateId,
     OrderMismatch,
 )
-from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
+from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup, _share_chain
 from .perm import format_permutation, parse_permutation
 from .rationality import CHECKS, Analysis, GroupReport, group_rationality
 
@@ -198,16 +198,31 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
     return record
 
 
-def _analyze_payload(payload: dict) -> dict:
-    """Analyze one record from a plain payload (picklable for worker pools).
-    A cap overrun makes the record skipped; any other exception makes it an
-    error, "TypeName: message", so one bad record never ends the survey."""
+def _analyze_payload(payload: dict, built: PermGroup | None = None) -> dict:
+    """Parse one record's generators from a plain payload (picklable for
+    worker pools) and analyze that group (see _analyze).  If ``built`` is a
+    group on the same generators, as parse_corpus builds a record's group,
+    the parsed group starts from its stabilizer chain, so the chain is not
+    built twice; ``built`` itself is never enumerated.  A generator text
+    that does not parse makes the record an error entry too."""
+    try:
+        degree = payload["degree"]
+        G = PermGroup(degree, [parse_permutation(t, degree) for t in payload["gens"]])
+    except Exception as e:
+        return _error(payload["id"], e)
+    if built is not None:
+        _share_chain(G, built)
+    return _analyze(G, payload)
+
+
+def _analyze(G: PermGroup, payload: dict) -> dict:
+    """Analyze the group G of one record; the payload gives its id, cap and
+    checks.  A cap overrun makes the record skipped; any other exception
+    makes it an error, "TypeName: message", so one bad record never ends
+    the survey."""
     rid = payload["id"]
-    degree = payload["degree"]
     cap = payload["cap"]
     try:
-        gens = [parse_permutation(t, degree) for t in payload["gens"]]
-        G = PermGroup(degree, gens)
         analysis = Analysis(G, cap)
         report, results = analysis.report, analysis.run(payload["checks"])
         sylow2_cut = None
@@ -216,7 +231,7 @@ def _analyze_payload(payload: dict) -> dict:
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     except Exception as e:
-        return {"id": rid, "error": f"{type(e).__name__}: {e}"}
+        return _error(rid, e)
     return {
         "id": rid,
         "row": {
@@ -226,6 +241,10 @@ def _analyze_payload(payload: dict) -> dict:
             "sylow2_cut": sylow2_cut,
         },
     }
+
+
+def _error(rid: str, e: Exception) -> dict:
+    return {"id": rid, "error": f"{type(e).__name__}: {e}"}
 
 
 def _process_pool(workers: int):
@@ -243,7 +262,14 @@ def run_survey(
 ) -> SurveyReport:
     """Analyze every record; per-record cap overruns become skipped entries
     and any other per-record exception an errors entry, never silent drops.
-    Row order is by record id regardless of workers."""
+    Row order is by record id regardless of workers.
+
+    Every record is analyzed as the group its generator texts generate.
+    Serially, that group starts from the stabilizer chain of
+    ``record.group`` when that is a group on the same generators, as
+    parse_corpus builds it; ``record.group`` itself is never enumerated, so
+    no enumeration outlives its row.  A worker pool gets plain picklable
+    payloads (id, degree, generator texts, cap, checks)."""
     config = config or SurveyConfig()
     # every selected name but syl2 is a registry check
     checks = tuple(c for c in config.checks if c != "syl2")
@@ -265,7 +291,7 @@ def run_survey(
         with _process_pool(workers) as pool:
             outcomes = list(pool.map(_analyze_payload, payloads))
     else:
-        outcomes = [_analyze_payload(p) for p in payloads]
+        outcomes = [_analyze_payload(p, r.group) for r, p in zip(ordered, payloads)]
 
     rows: list[dict] = []
     skipped: list[dict] = []

@@ -310,5 +310,14 @@ class PermGroup:
         return self._built_chain().base_points()
 
 
+def _share_chain(H: PermGroup, G: PermGroup) -> None:
+    """Let H start from G's stabilizer chain and order, if G has built them,
+    when the two have the same degree and generators; H builds everything
+    else itself.  A ``_Chain`` is only read after its constructor, so the
+    two groups can share it; G's enumeration, if any, is not shared."""
+    if (H.degree, H.generators) == (G.degree, G.generators):
+        H._chain, H._order = G._chain, G._order
+
+
 def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [Permutation.identity(degree)])

@@ -207,7 +207,22 @@ class Analysis:
 
     @cached_property
     def classes(self) -> list[ClassRationality]:
-        return [classify_class(self.table, c) for c in range(len(self.table))]
+        """classify_class of every class, computed once per Galois orbit.
+        A class d = row[k] with k a unit mod the order o of class c has
+        the same order and stabilizer as c, as the unit group is abelian,
+        so it gets c's verdicts under its own index."""
+        table = self.table
+        out: list[ClassRationality | None] = [None] * len(table)
+        for c, row in enumerate(table.power_map):
+            if out[c] is not None:
+                continue
+            r = out[c] = classify_class(table, c)
+            o = r.element_order
+            for k in _units(o):
+                d = row[k % o]
+                if out[d] is None:
+                    out[d] = replace(r, class_index=d)
+        return out
 
     @cached_property
     def qg_degree(self) -> int:

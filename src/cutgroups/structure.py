@@ -353,7 +353,12 @@ def derived_subgroup(H: PermGroup) -> PermGroup:
 
 
 def is_solvable(G: PermGroup) -> bool:
-    """Derived series reaches the trivial group within log2 |G| steps."""
+    """A group whose order has at most two prime divisors is solvable, by
+    Burnside's p^a q^b theorem; every prime divisor of |G| is at most the
+    degree, so the factorization is cheap.  Any other group is solvable when
+    its derived series reaches the trivial group within log2 |G| steps."""
+    if len(prime_divisors(G.order())) <= 2:
+        return True
     current = G
     for _ in range(G.order().bit_length() + 1):
         order = current.order()

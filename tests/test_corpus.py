@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -174,6 +175,46 @@ class TestRunSurvey:
             assert "row" in outcome
         assert len(records) == 172
 
+    def test_serial_survey_reuses_each_record_chain(self, monkeypatch):
+        # each record is analyzed as a new group on the chain parse_corpus
+        # built, and the record's own group is never enumerated
+        records = parse_corpus(bundled_corpus_path())
+        by_id = {r.id: r for r in records}
+        shared = []
+        real = corpus._analyze
+
+        def recording(G, payload):
+            record = by_id[payload["id"]]
+            shared.append(G is not record.group and G._chain is record.group._chain)
+            return real(G, payload)
+
+        monkeypatch.setattr(corpus, "_analyze", recording)
+        report = run_survey(records)
+        assert len(report.rows) == len(shared) == 172
+        assert all(shared)
+        assert all(r.group._chain is not None for r in records)
+        assert all(r.group._images is None for r in records)
+
+    def test_record_without_group_is_parsed_in_the_survey(self):
+        good = record_for("c3", cyclic(3))
+        bad = GroupRecord(id="bad", degree=3, generator_texts=["(1 9)"])
+        report = run_survey([good, bad], SurveyConfig(checks=("bmp",)))
+        assert [row["id"] for row in report.rows] == ["c3"]
+        assert [e["id"] for e in report.errors] == ["bad"]
+        assert report.errors[0]["error"].startswith("PointOutOfRange")
+
+    def test_row_comes_from_the_generator_texts(self):
+        # a record whose group is on other generators lends it no chain:
+        # the row is that of its texts, as a worker process computes it
+        config = SurveyConfig(checks=("bmp",))
+        from_texts = run_survey([record_for("g", symmetric(3))], config)
+        mismatched = record_for("g", symmetric(3))
+        mismatched.group = cyclic(3)
+        assert mismatched.group.order() == 3
+        report = run_survey([mismatched], config)
+        assert report.rows == from_texts.rows
+        assert report.rows[0]["order"] == 6
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError):
@@ -200,7 +241,10 @@ class TestRunSurvey:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                # what a process pool would send: the function and each
+                # payload, pickled
+                sent = [pickle.loads(pickle.dumps(item)) for item in items]
+                return map(pickle.loads(pickle.dumps(fn)), sent)
 
         monkeypatch.setattr(corpus, "_process_pool", SerialPool)
         monkeypatch.setattr(corpus.os, "cpu_count", lambda: cpus)

@@ -434,6 +434,55 @@ def test_classification_does_no_power_work_after_the_table(G, monkeypatch):
     assert analysis.qg_degree >= 1
 
 
+@st.composite
+def random_small_groups(draw):
+    """1-3 random generators of degree 2-7."""
+    n = draw(st.integers(2, 7))
+    gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=3))
+    return PermGroup(n, [Permutation(g) for g in gens])
+
+
+def classes_per_class(analysis):
+    """Oracle for Analysis.classes: classify_class on every class."""
+    table = analysis.table
+    return [classify_class(table, c) for c in range(len(table))]
+
+
+class TestClassesPerGaloisOrbit:
+    """Analysis.classes classifies one class per Galois orbit and gives the
+    other classes of the orbit its verdicts; classify_class on every class
+    is the oracle."""
+
+    def test_bundled_groups_and_their_sylow_subgroups(self):
+        checked = 0
+        for r in parse_corpus(bundled_corpus_path()):
+            a = Analysis(r.group)
+            for analysis in (a, a.sylow_analysis(2), a.sylow_analysis(3)):
+                assert analysis.classes == classes_per_class(analysis), r.id
+                checked += 1
+        assert checked == 3 * 172
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_small_groups())
+    def test_random_groups(self, G):
+        analysis = Analysis(G)
+        assert analysis.classes == classes_per_class(analysis)
+
+    def test_one_classification_per_orbit(self, monkeypatch):
+        # C12 has 12 classes in 6 orbits, one per element order
+        calls = []
+        real = rationality.classify_class
+
+        def counting(table, c):
+            calls.append(c)
+            return real(table, c)
+
+        monkeypatch.setattr(rationality, "classify_class", counting)
+        classes = Analysis(cyclic(12)).classes
+        assert len(classes) == 12
+        assert len(calls) == len({r.element_order for r in classes}) == 6
+
+
 # Oracles for the field-degree kernel: the two exponent-wide loops it
 # replaced, over every unit mod the exponent.
 def qg_degree_exponent_wide(G):
@@ -468,14 +517,6 @@ def qg_degree_alternating_exponent_wide(n):
         if all(((k % o) or o) in stab for o, stab in split_stabs)
     ]
     return len(units) // len(fixed)
-
-
-@st.composite
-def random_small_groups(draw):
-    """1-3 random generators of degree 2-7."""
-    n = draw(st.integers(2, 7))
-    gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=3))
-    return PermGroup(n, [Permutation(g) for g in gens])
 
 
 class TestFieldDegreeKernel:

@@ -17,6 +17,7 @@ from cutgroups.perm import (
     parse_permutation,
     then_images,
 )
+from cutgroups import structure
 from cutgroups.rationality import Analysis
 from cutgroups.structure import (
     ClassTable,
@@ -572,6 +573,34 @@ class TestDerived:
             assert D.contains(commutator(a, b))
 
 
+def derived_series_solvable(G):
+    """Oracle for is_solvable: the derived series reaches the trivial group
+    within log2 |G| steps, whatever the order's prime divisors."""
+    current = G
+    for _ in range(G.order().bit_length() + 1):
+        order = current.order()
+        if order == 1:
+            return True
+        D = derived_subgroup(current)
+        if D.order() == order:
+            return False
+        current = D
+    return current.order() == 1
+
+
+def counting_derived_subgroup(monkeypatch):
+    """The groups is_solvable asks structure.derived_subgroup for, in order."""
+    calls = []
+    real = structure.derived_subgroup
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    monkeypatch.setattr(structure, "derived_subgroup", counting)
+    return calls
+
+
 class TestSolvable:
     def test_abelian(self):
         assert is_solvable(abelian([2, 6]))
@@ -589,6 +618,41 @@ class TestSolvable:
     def test_a5_not_solvable(self):
         assert not is_solvable(alternating(5))
         assert derived_subgroup(alternating(5)).order() == 60  # perfect
+
+    @pytest.mark.parametrize("G", [alternating(5), symmetric(5)], ids=["A5", "S5"])
+    def test_three_primes_take_the_derived_series(self, G, monkeypatch):
+        calls = counting_derived_subgroup(monkeypatch)
+        assert not is_solvable(G)
+        assert calls
+        assert not derived_series_solvable(G)
+
+    def test_solvable_with_three_primes(self, monkeypatch):
+        # sylnorm(7) = C7 : C6 has order 42 = 2 * 3 * 7
+        calls = counting_derived_subgroup(monkeypatch)
+        assert is_solvable(sylnorm(7))
+        assert calls
+
+    @pytest.mark.parametrize("G", [
+        trivial_group(3), cyclic(9), symmetric(4), sylnorm(5), heisenberg27(),
+        iterated_wreath(2, 3),
+    ], ids=["trivial", "C9", "S4", "sylnorm5", "heisenberg27", "C2wrC2wrC2"])
+    def test_two_primes_are_solvable_by_order(self, G, monkeypatch):
+        # Burnside's p^a q^b theorem: no derived subgroup is built
+        calls = counting_derived_subgroup(monkeypatch)
+        assert is_solvable(G)
+        assert calls == []
+        assert derived_series_solvable(G)
+
+    def test_bundled_groups_match_derived_series(self):
+        records = parse_corpus(bundled_corpus_path())
+        assert len(records) == 172
+        for r in records:
+            assert is_solvable(r.group) == derived_series_solvable(r.group), r.id
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_groups_with_degree_one())
+    def test_random_groups_match_derived_series(self, G):
+        assert is_solvable(G) == derived_series_solvable(G)
 
 
 class TestExponent:
