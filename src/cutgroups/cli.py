@@ -32,10 +32,13 @@ from .corpus import (
 )
 from .errors import CapExceeded, CorpusError, CutgroupsError
 from .group import DEFAULT_CAP, PermGroup
-from .rationality import CHECKS, group_rationality, qg_degree_alternating
+from .rationality import (
+    ALTERNATING_MAX_N,
+    CHECKS,
+    group_rationality,
+    qg_degree_alternating,
+)
 from .constructions import parse_family_spec
-
-AN_FIELDS_MAX = 14
 
 
 def _positive_int(text: str) -> int:
@@ -184,8 +187,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_an_fields(args) -> int:
-    if not 4 <= args.max_n <= AN_FIELDS_MAX:
-        return _fail(f"--max-n must be in 4..{AN_FIELDS_MAX}, got {args.max_n}", 2)
+    if not 4 <= args.max_n <= ALTERNATING_MAX_N:
+        return _fail(f"--max-n must be in 4..{ALTERNATING_MAX_N}, got {args.max_n}", 2)
     rows = [
         {
             "n": n,

@@ -203,8 +203,8 @@ def _analyze_payload(payload: dict, built: PermGroup | None = None) -> dict:
     worker pools) and analyze that group (see _analyze).  If ``built`` is a
     group on the same generators, as parse_corpus builds a record's group,
     the parsed group starts from its stabilizer chain, so the chain is not
-    built twice; ``built`` itself is never enumerated.  A generator text
-    that does not parse makes the record an error entry too."""
+    built twice.  A generator text that does not parse makes the record an
+    error entry too."""
     try:
         degree = payload["degree"]
         G = PermGroup(degree, [parse_permutation(t, degree) for t in payload["gens"]])
@@ -267,9 +267,10 @@ def run_survey(
     Every record is analyzed as the group its generator texts generate.
     Serially, that group starts from the stabilizer chain of
     ``record.group`` when that is a group on the same generators, as
-    parse_corpus builds it; ``record.group`` itself is never enumerated, so
-    no enumeration outlives its row.  A worker pool gets plain picklable
-    payloads (id, degree, generator texts, cap, checks)."""
+    parse_corpus builds it.  A group holds no enumeration, so every
+    enumeration of a record belongs to its analysis and goes with it.  A
+    worker pool gets plain picklable payloads (id, degree, generator texts,
+    cap, checks)."""
     config = config or SurveyConfig()
     # every selected name but syl2 is a registry check
     checks = tuple(c for c in config.checks if c != "syl2")

@@ -3,14 +3,14 @@
 Order and membership go through a deterministic stabilizer chain
 (base-and-strong-generators, smallest moved point first) built by
 incremental Schreier-Sims on image tuples, so they work far beyond the
-enumeration cap.  Full element lists use breadth-first closure
-over the generators on image tuples, which fixes the element ordering that
-all downstream class indexing relies on.  The closure keeps what it
-computes: the image tuples with their ``tuple -> index`` dict, every
-product element · generator as a right Cayley column on element indices,
-and the tree of first discoveries; the class sweep runs on those integers.
-A ``Permutation`` list of the elements is built only when ``elements`` is
-called.
+enumeration cap.  A group holds its generators and that chain, nothing
+else.  Enumeration is a breadth-first closure over the generators on image
+tuples, which fixes the element ordering that all downstream class
+indexing relies on; ``closure`` returns what it computes (the image tuples
+with their ``tuple -> index`` dict, every product element · generator as a
+right Cayley column on element indices, and the tree of first discoveries)
+to its caller and keeps none of it, so each reader owns the enumeration it
+asked for.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class _Chain:
         return [level.point for level in self.levels]
 
 
-# (right, parent, edge): see PermGroup.cayley
+# (right, parent, edge): see PermGroup.closure
 Cayley = tuple[list[array], array, array]
 
 
@@ -202,12 +202,14 @@ def _closure(
 class PermGroup:
     """A finite permutation group given by generators on {1..degree}.
 
-    The identity is always a member, even if not listed.  The stabilizer
-    chain, the enumeration (image tuples, their index and the Cayley
-    columns) and the ``Permutation`` list of ``elements`` are each built at
-    most once and shared by later calls; construction is guarded so
-    concurrent readers are safe.
+    The identity is always a member, even if not listed.  A group holds
+    only what order and membership need: its generators and the stabilizer
+    chain, built at most once under a lock so concurrent readers share it.
+    Every enumeration is built when it is asked for and belongs to the
+    caller; the slots keep anything else from being stored on a group.
     """
+
+    __slots__ = ("degree", "generators", "_lock", "_chain", "_order")
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
         if degree < 1:
@@ -225,10 +227,6 @@ class PermGroup:
         self._lock = threading.Lock()
         self._chain: _Chain | None = None
         self._order: int | None = None
-        self._images: list[tuple[int, ...]] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
-        self._cayley: Cayley | None = None
-        self._elements: list[Permutation] | None = None
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -253,57 +251,33 @@ class PermGroup:
             )
         return self._built_chain().contains(p.images)
 
-    def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
-        """All |G| elements by breadth-first closure over the generators.
+    def closure(
+        self, cap: int = DEFAULT_CAP
+    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], Cayley]:
+        """``(images, index, (right, parent, edge))``, built on every call:
+        the image tuples of the |G| elements by breadth-first closure over
+        the generators, the dict from each tuple to its position, and what
+        the closure computed on those positions.
 
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (checked against the exact chain order up front).
-        The list wraps the tuples of ``indexed_images`` and is built on the
-        first call only; the closure behind it runs once for all three
-        accessors (see ``cayley``).
-        """
-        images, _ = self.indexed_images(cap)
-        if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    self._elements = [Permutation._trusted(q) for q in images]
-        return self._elements
 
-    def indexed_images(
-        self, cap: int = DEFAULT_CAP
-    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-        """``(images, index)``: the image tuples of ``elements(cap)``, in the
-        same order, and the dict from each tuple to its position.  No
-        ``Permutation`` is built."""
-        self._enumerate(cap)
-        return self._images, self._index
-
-    def cayley(self, cap: int = DEFAULT_CAP) -> Cayley:
-        """``(right, parent, edge)``: what the closure of ``elements(cap)``
-        computed, on indices into that list, built with it at most once.
-
-        ``right[e][i]`` is the index of ``elements[i] · generators[e]``, and
-        ``elements[j] = elements[parent[j]] · generators[edge[j]]`` with
+        ``right[e][i]`` is the index of ``images[i] · generators[e]``, and
+        ``images[j] = images[parent[j]] · generators[edge[j]]`` with
         ``parent[j] < j`` (the breadth-first tree; the root, the identity,
         has parent and edge -1).  All are ``array('i')``: a list would hold
         a separate int object for every index above 256.
         """
-        self._enumerate(cap)
-        return self._cayley
-
-    def _enumerate(self, cap: int) -> None:
         order = self.order()
         if order > cap:
             raise CapExceeded(order, cap)
-        if self._images is None:
-            with self._lock:
-                if self._images is None:
-                    out, self._index, self._cayley = _closure(
-                        self.degree, self.generators
-                    )
-                    # last: a reader that sees _images sees _index and _cayley
-                    self._images = out
+        return _closure(self.degree, self.generators)
+
+    def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
+        """The tuples of ``closure(cap)`` as Permutations, in the same
+        order; built on every call."""
+        return [Permutation._trusted(q) for q in self.closure(cap)[0]]
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""
@@ -312,9 +286,9 @@ class PermGroup:
 
 def _share_chain(H: PermGroup, G: PermGroup) -> None:
     """Let H start from G's stabilizer chain and order, if G has built them,
-    when the two have the same degree and generators; H builds everything
-    else itself.  A ``_Chain`` is only read after its constructor, so the
-    two groups can share it; G's enumeration, if any, is not shared."""
+    when the two have the same degree and generators.  A ``_Chain`` is only
+    read after its constructor, so the two groups can share it; a group
+    holds nothing else to share."""
     if (H.degree, H.generators) == (G.degree, G.generators):
         H._chain, H._order = G._chain, G._order
 

@@ -39,6 +39,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
+# Largest n that qg_degree_alternating (and so `cutgroups an-fields`) takes.
+ALTERNATING_MAX_N = 14
+
 SUITE_CHECKS = ("bmp", "tent", "gow_primes", "cut_primes", "hegedus", "ppe", "q3")
 
 
@@ -257,7 +260,7 @@ class Analysis:
 
         def compute() -> tuple[int, int]:
             table = self.table
-            core = core_classes(self.sylow(p), table, self.cap)
+            core = core_classes(self.sylow(p).closure(self.cap)[0], table)
             order = sum(table.sizes[c] for c in core)
             return order, math.lcm(*(table.rep_orders[c] for c in core))
 
@@ -306,13 +309,13 @@ def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     return True
 
 
-def qg_degree_alternating(n: int, bound: int = 14) -> int:
+def qg_degree_alternating(n: int) -> int:
     """Same field degree as qg_degree, but from the alternating class
     descriptors, never enumerating A_n.  Non-split classes are rational, so
     only the split ones constrain k, and the index is taken over the units
     mod the lcm of their orders instead of mod exp(A_n)."""
-    if not 3 <= n <= bound:
-        raise BoundExceeded(f"n={n} outside supported range 3..{bound}")
+    if not 3 <= n <= ALTERNATING_MAX_N:
+        raise BoundExceeded(f"n={n} outside supported range 3..{ALTERNATING_MAX_N}")
     split_stabs = []
     for d in alternating_classes(n):
         if d.splits:
@@ -445,7 +448,7 @@ def _lemma61(a: Analysis) -> CheckResult:
     # per class of G: is some class of P inside it inverse semi-rational in P?
     in_p: dict[int, bool] = {}
     for rep, r in zip(sub.table.reps, sub.classes):
-        c = table.class_of[rep.images]
+        c = table.class_index(rep)
         in_p[c] = in_p.get(c, False) or r.is_inverse_semirational
     for c in three_classes:
         isr_in_g = a.classes[c].is_inverse_semirational

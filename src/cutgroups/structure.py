@@ -3,14 +3,15 @@ derived series, exponents.
 
 All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
-solvability, exp(P/P')) work beyond it.  The class sweep runs on element
-indices: it reads conjugation off the Cayley columns and the breadth-first
-tree that the enumeration recorded (``PermGroup.cayley``), makes no image
-tuple, and wraps only the class reps as Permutations.  ``class_of`` reads
-the enumeration's own ``tuple -> index`` dict (``PermGroup.indexed_images``)
-through a per-index class list.  The power map computes a row by successive
-products only for a class that is not a power of an earlier one, so at most
-one row per Galois orbit of classes, and derives every other row from it.
+solvability, exp(P/P')) work beyond it.  The class table owns G's
+enumeration: ``conjugacy_classes`` asks ``PermGroup.closure`` for it once,
+keeps its ``tuple -> index`` dict with the class of each position, and
+drops the rest after the sweep.  The sweep runs on element indices: it
+reads conjugation off the Cayley columns and the breadth-first tree of the
+closure, makes no image tuple, and wraps only the class reps as
+Permutations.  The power map computes a row by successive products only
+for a class that is not a power of an earlier one, so at most one row per
+Galois orbit of classes, and derives every other row from it.
 
 The Sylow scans read element orders off the class table, and O_p(G) is the
 union of the classes of G that lie wholly in a Sylow p-subgroup
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable
 
 from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
@@ -69,35 +70,14 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-class ClassOf(Mapping):
-    """Read-only map from an element's image tuple to its class index:
-    ``classes[index[t]]``, with ``index`` the enumeration's ``tuple ->
-    position`` dict and ``classes`` the class of each position."""
-
-    __slots__ = ("index", "classes")
-
-    def __init__(self, index: dict[tuple[int, ...], int], classes: list[int]):
-        self.index = index
-        self.classes = classes
-
-    def __getitem__(self, images: tuple[int, ...]) -> int:
-        return self.classes[self.index[images]]
-
-    def __contains__(self, images: object) -> bool:
-        return images in self.index
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class ClassTable:
     """Conjugacy classes of a group: representatives in deterministic order,
-    sizes, an element-to-class map (``class_of``, a ClassOf over ``index``
-    and ``classes``), and the power map of every class, built here and never
-    changed afterwards.
+    sizes, the class of every element, and the power map of every class,
+    built here and never changed afterwards.
+
+    ``index`` is the closure's dict from each element's image tuple to its
+    position, and ``classes[i]`` the class of the element at position i, so
+    an element t lies in class ``classes[index[t]]``.
 
     reps[0] is always the identity class; power_map[c][k] is the class of
     reps[c] ** k for k in 0..rep_orders[c]-1.
@@ -121,7 +101,8 @@ class ClassTable:
         self.group = group
         self.reps = reps
         self.sizes = sizes
-        self.class_of = ClassOf(index, classes)
+        self.index = index
+        self.classes = classes
         identity = reps[0].images
         rows: list[list[int] | None] = [None] * len(reps)
         for c, rep in enumerate(reps):
@@ -146,7 +127,7 @@ class ClassTable:
 
     def class_index(self, p: Permutation) -> int:
         try:
-            return self.class_of[p.images]
+            return self.classes[self.index[p.images]]
         except KeyError:
             raise ValueError(f"{p} is not a member of the group") from None
 
@@ -161,13 +142,13 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     that need the table more than once keep it.
 
     The sweep runs on element indices: the conjugation action of each
-    generator is an integer permutation read from the enumeration's Cayley
+    generator is an integer permutation read from the closure's Cayley
     columns (see _conjugation_actions), and classes are its orbits.  Only
-    the reps are wrapped as Permutations; ``class_of`` shares the
-    enumeration's index.
+    the reps are wrapped as Permutations; the table keeps the closure's
+    index, and the image list and columns go when the sweep returns.
     """
-    images, index = G.indexed_images(cap)
-    actions = _conjugation_actions(G.cayley(cap))
+    images, index, cayley = G.closure(cap)
+    actions = _conjugation_actions(cayley)
     cls = [-1] * len(images)
     reps: list[Permutation] = []
     sizes: list[int] = []
@@ -261,7 +242,7 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     """
     G = table.group
     target = p_part(G.order(), p)
-    index, classes = table.class_of.index, table.class_of.classes
+    index, classes = table.index, table.classes
     orders = table.rep_orders
     gens: list[Permutation] = []
     P = trivial_group(G.degree)
@@ -292,32 +273,34 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return core_of(_sylow(table, p), table, cap)
 
 
-def core_classes(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> set[int]:
+def core_classes(members: Iterable[tuple[int, ...]], table: ClassTable) -> set[int]:
     """The classes of G, the group of ``table``, that lie wholly in its
-    subgroup P.  For P Sylow their union is O_p(G), the intersection of the
-    conjugates of P: its order is the sum of their sizes and its exponent
-    the lcm of their rep orders.
+    subgroup P, given the image tuples of P's members (``P.closure()[0]``).
+    For P Sylow their union is O_p(G), the intersection of the conjugates
+    of P: its order is the sum of their sizes and its exponent the lcm of
+    their rep orders.
 
     A class lies in P exactly when P holds all its members, so P's members
     are counted per class, not listed.
     """
-    images, _ = P.indexed_images(cap)
-    index, class_list = table.class_of.index, table.class_of.classes
-    hits = Counter(class_list[index[t]] for t in images)
+    index, classes = table.index, table.classes
+    hits = Counter(classes[index[t]] for t in members)
     return {c for c, n in hits.items() if n == table.sizes[c]}
 
 
 def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGroup:
     """The subgroup of the elements of P whose whole conjugacy class in G,
     the group of ``table``, lies in P (see core_classes); for P Sylow this
-    is O_p(G).  It grows greedily over P's enumeration, and only the
+    is O_p(G).  It grows greedily over one enumeration of P, and only the
     members of those classes are wrapped as Permutations.
     """
-    core = core_classes(P, table, cap)
+    members = P.closure(cap)[0]
+    core = core_classes(members, table)
+    index, classes = table.index, table.classes
     gens: list[Permutation] = []
     group = trivial_group(P.degree)
-    for t in P.indexed_images(cap)[0]:
-        if table.class_of[t] in core:
+    for t in members:
+        if classes[index[t]] in core:
             e = Permutation._trusted(t)
             if not group.contains(e):
                 gens.append(e)

@@ -193,7 +193,9 @@ class TestRunSurvey:
         assert len(report.rows) == len(shared) == 172
         assert all(shared)
         assert all(r.group._chain is not None for r in records)
-        assert all(r.group._images is None for r in records)
+        # a group has slots only: no analysis can be stashed on it
+        with pytest.raises(AttributeError):
+            records[0].group.table = None
 
     def test_record_without_group_is_parsed_in_the_survey(self):
         good = record_for("c3", cyclic(3))

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chain_oracle import oracle_chain
+from cutgroups import cli
+from cutgroups.corpus import bundled_corpus_path, parse_corpus, run_survey
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, iterated_wreath, symmetric
-from cutgroups.structure import conjugacy_classes
+from cutgroups.structure import conjugacy_classes, p_core
 
 
 def brute_closure(gens):
@@ -148,14 +150,14 @@ def small_random_groups(draw):
 
 
 class TestCayley:
-    """The columns and tree that elements() records, against products."""
+    """The columns and tree that closure() returns, against products."""
 
     @staticmethod
     def assert_cayley_right(G):
-        elems = [e.images for e in G.elements()]
+        elems, index, (right, parent, edge) = G.closure()
         assert elems == layered_closure(G)
-        index = {p: i for i, p in enumerate(elems)}
-        right, parent, edge = G.cayley()
+        assert [e.images for e in G.elements()] == elems
+        assert index == {p: i for i, p in enumerate(elems)}
         gens = [g.images for g in G.generators]
         assert len(right) == len(gens)
         for column in (*right, parent, edge):
@@ -179,28 +181,15 @@ class TestCayley:
     def test_named_groups(self, G):
         self.assert_cayley_right(G)
 
-    def test_built_once_with_elements(self, monkeypatch):
-        from cutgroups import group
-
-        calls = []
-        closure = group._closure
-        monkeypatch.setattr(
-            group, "_closure", lambda *args: calls.append(args) or closure(*args)
-        )
-        G = symmetric(4)
-        elems = G.elements()
-        assert G.cayley() is G.cayley()
-        assert G.elements() is elems
-        assert len(calls) == 1
-
     def test_cap_exceeded(self):
         with pytest.raises(CapExceeded):
-            symmetric(5).cayley(cap=100)
+            symmetric(5).closure(cap=100)
 
 
 class TestOneEnumeration:
     """The closure's tuples and index are the elements' one representation:
-    the class table wraps only its reps, and every accessor shares them."""
+    the class table wraps only its reps, and a group stores none of it, so
+    no enumeration outlives its reader."""
 
     @pytest.mark.parametrize(
         "build", [lambda: symmetric(6), lambda: iterated_wreath(3, 2)],
@@ -220,28 +209,48 @@ class TestOneEnumeration:
         monkeypatch.undo()
         assert [e.images for e in G.elements()] == layered_closure(G)
 
-    def test_concurrent_readers_share_one_enumeration(self, monkeypatch):
+    def test_each_group_enumerated_at_most_once(self, monkeypatch, capsys):
+        # a serial bundled survey, an analyze run and a p-core: every reader
+        # of an enumeration is the only one, so a cache on the group would
+        # serve nobody; the groups are kept alive so that no id is reused
+        groups = []
+        closure = PermGroup.closure
+
+        def recording(G, *args, **kwargs):
+            groups.append(G)
+            return closure(G, *args, **kwargs)
+
+        monkeypatch.setattr(PermGroup, "closure", recording)
+        run_survey(parse_corpus(bundled_corpus_path()))
+        assert cli.main(["analyze", "--family", "symmetric:5"]) == 0
+        assert p_core(symmetric(4), 2).order() == 4  # core_of reads P once
+        capsys.readouterr()
+        ids = [id(G) for G in groups]
+        assert len(ids) == len(set(ids)) > 172
+
+    def test_concurrent_readers_share_one_chain(self, monkeypatch):
         from cutgroups import group
 
-        calls = []
-        closure = group._closure
+        built = []
+        chain = group._Chain
 
-        def slow_closure(*args):
-            calls.append(args)
+        def slow_chain(*args):
+            built.append(args)
             time.sleep(0.05)  # widens the window in which a race would show
-            return closure(*args)
+            return chain(*args)
 
-        monkeypatch.setattr(group, "_closure", slow_closure)
+        monkeypatch.setattr(group, "_Chain", slow_chain)
         G = symmetric(6)
-        reads = [G.elements, G.cayley, G.indexed_images, lambda: conjugacy_classes(G)]
+        member = G.generators[0]
+        reads = [G.order, lambda: G.contains(member), lambda: conjugacy_classes(G)]
         barrier = threading.Barrier(8, timeout=30)
         results = [None] * 8
 
         def read(i):
             barrier.wait()
-            # each thread takes the accessors in its own rotation
-            got = {r: reads[r]() for r in [(i + j) % 4 for j in range(4)]}
-            results[i] = [got[r] for r in range(4)]
+            # each thread takes the readers in its own rotation
+            got = {r: reads[r]() for r in [(i + j) % 3 for j in range(3)]}
+            results[i] = [got[r] for r in range(3)]
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
@@ -254,13 +263,13 @@ class TestOneEnumeration:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(calls) == 1
-        elems, cayley, (images, index), table = results[0]
-        assert [e.images for e in elems] == images
-        for e, c, (im, ix), t in results:
-            assert e is elems and c is cayley and im is images and ix is index
-            assert t.class_of.index is index
-            assert t.reps == table.reps and t.sizes == table.sizes
+        assert len(built) == 1
+        first = results[0][2]
+        for order, member_in, table in results:
+            assert order == 720 and member_in
+            assert (table.reps, table.sizes, table.index, table.classes) == (
+                first.reps, first.sizes, first.index, first.classes
+            )
 
 
 class TestChain:

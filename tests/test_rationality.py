@@ -68,12 +68,12 @@ class TestClassStabilizer:
 
     def test_c3_generator(self):
         T = conjugacy_classes(cyclic(3))
-        c = T.class_of[parse_permutation("(1 2 3)", 3).images]
+        c = T.class_index(parse_permutation("(1 2 3)", 3))
         assert class_stabilizer(T, c) == frozenset({1})
 
     def test_five_cycle_in_s5_fully_stable(self):
         T = conjugacy_classes(symmetric(5))
-        c = T.class_of[parse_permutation("(1 2 3 4 5)", 5).images]
+        c = T.class_index(parse_permutation("(1 2 3 4 5)", 5))
         assert class_stabilizer(T, c) == frozenset({1, 2, 3, 4})
 
     def test_closed_under_multiplication(self):
@@ -90,13 +90,13 @@ class TestClassStabilizer:
 class TestClassifyClass:
     def test_involution_rational(self):
         T = conjugacy_classes(symmetric(3))
-        c = T.class_of[parse_permutation("(1 2)", 3).images]
+        c = T.class_index(parse_permutation("(1 2)", 3))
         r = classify_class(T, c)
         assert r.is_rational and r.field_degree == 1
 
     def test_c3_generator_imaginary_quadratic(self):
         T = conjugacy_classes(cyclic(3))
-        c = T.class_of[parse_permutation("(1 2 3)", 3).images]
+        c = T.class_index(parse_permutation("(1 2 3)", 3))
         r = classify_class(T, c)
         assert not r.is_rational
         assert r.is_inverse_semirational
@@ -105,7 +105,7 @@ class TestClassifyClass:
 
     def test_c5_generator_degree_four(self):
         T = conjugacy_classes(cyclic(5))
-        c = T.class_of[parse_permutation("(1 2 3 4 5)", 5).images]
+        c = T.class_index(parse_permutation("(1 2 3 4 5)", 5))
         r = classify_class(T, c)
         assert not r.is_semirational
         assert r.field_degree == 4
@@ -282,7 +282,7 @@ class TestLemma61Check:
         sub = a.sylow_analysis(3)
         verdicts = {}
         for rep, r in zip(sub.table.reps, sub.classes):
-            c = a.table.class_of[rep.images]
+            c = a.table.class_index(rep)
             verdicts.setdefault(c, set()).add(r.is_inverse_semirational)
         assert any(v == {True, False} for v in verdicts.values())
         assert CHECKS["lemma61"](a).status == PASS
@@ -332,7 +332,7 @@ class TestClassConjugators:
                 assert rep.conjugate_by(u).images == images
 
     def test_bundled_members_agree_with_the_class_of_walk(self):
-        # lemma61 maps every class of P into G through class_of and asks
+        # lemma61 maps every class of P into G through class_index and asks
         # whether some member is inverse semi-rational in P; on the bundled
         # groups the member the conjugator search finds first agrees
         checked = 0
@@ -342,16 +342,18 @@ class TestClassConjugators:
             sub = a.sylow_analysis(3)
             walk = {}
             for rep, r in zip(sub.table.reps, sub.classes):
-                c = table.class_of[rep.images]
+                c = table.class_index(rep)
                 walk[c] = walk.get(c, False) or r.is_inverse_semirational
             for c, o in enumerate(table.rep_orders):
                 if o == 1 or not rationality._is_power_of(o, 3):
                     continue
                 member = next(
                     y for y in class_conjugators(a.G, table.reps[c])
-                    if y in sub.table.class_of
+                    if y in sub.table.index
                 )
-                verdict = sub.classes[sub.table.class_of[member]].is_inverse_semirational
+                verdict = sub.classes[
+                    sub.table.classes[sub.table.index[member]]
+                ].is_inverse_semirational
                 assert walk[c] == verdict, (record.id, c)
                 checked += 1
         assert checked > 100
