@@ -2,15 +2,17 @@
 
 Order and membership go through a deterministic stabilizer chain
 (base-and-strong-generators, smallest moved point first) built by
-incremental Schreier-Sims on image tuples, so they work far beyond the
-enumeration cap.  A group holds its generators and that chain, nothing
-else.  Enumeration is a breadth-first closure over the generators on image
-tuples, which fixes the element ordering that all downstream class
-indexing relies on; ``closure`` returns what it computes (the image tuples
-with their ``tuple -> index`` dict, every product element · generator as a
-right Cayley column on element indices, and the tree of first discoveries)
-to its caller and keeps none of it, so each reader owns the enumeration it
-asked for.
+incremental Schreier-Sims, so they work far beyond the enumeration cap.
+Up to degree 256 the chain holds its elements as ``bytes``, one point per
+byte, and composes two of them with one ``bytes.translate``; above 256 a
+byte cannot hold a point, and it holds image tuples.  A group holds its
+generators and that chain, nothing else.  Enumeration is a breadth-first
+closure over the generators on image tuples, which fixes the element
+ordering that all downstream class indexing relies on; ``closure`` returns
+what it computes (the image tuples with their ``tuple -> index`` dict,
+every product element · generator as a right Cayley column on element
+indices, and the tree of first discoveries) to its caller and keeps none
+of it, so each reader owns the enumeration it asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 from array import array
 from collections import deque
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from .perm import Permutation, invert_images, then_images
@@ -29,45 +31,70 @@ DEFAULT_CAP = 100_000
 # Largest degree of a constructed family or a corpus record.
 MAX_DEGREE = 10 ** 6
 
+# A chain element in the chain's encoding (see _Chain): bytes up to degree
+# 256, an image tuple above.
+_Word = bytes | tuple[int, ...]
+# Every point a byte can hold.  At degree n the first n bytes are the
+# identity, and the rest pads an n-byte word to a translation table.
+_BYTE_POINTS = bytes(range(256))
+
+
+def _invert_bytes(g: bytes) -> bytes:
+    """The inverse of an n-byte word: ``bytes.maketrans`` maps every g[i]
+    back to i in C; the table's first n bytes are the inverse word."""
+    n = len(g)
+    return bytes.maketrans(g, _BYTE_POINTS[:n])[:n]
+
 
 class _ChainLevel:
-    """One level of a stabilizer chain, on image tuples.
+    """One level of a stabilizer chain, in the chain's encoding (see
+    ``_Chain``): a *word* is an element's n images, and a *table* is what
+    an element must be to be composed on the right, its word padded to 256
+    bytes in the bytes encoding and the word itself for tuples.
 
-    ``gens`` is S_L, every strong generator that reached this level, so
-    ``<gens>`` is this level's group and fixes every earlier base point;
-    ``gen_inverses`` holds their inverses, in the same order.
-    ``reps[beta]`` maps the base point to beta and ``inverses[beta]`` is its
-    inverse; the orbit is their key set, always closed under ``gens``.
-    ``pending`` holds the (beta, s) Schreier pairs not yet sifted.
+    ``gens`` is S_L as tables, every strong generator that reached this
+    level, so ``<gens>`` is this level's group and fixes every earlier base
+    point; ``gen_inverses`` holds their inverses as words, in the same
+    order.  ``reps[beta]`` is a word mapping the base point to beta and
+    ``inverses[beta]`` is its inverse as a table; the orbit is their key
+    set, always closed under ``gens``.  ``pending`` holds the (beta, s)
+    Schreier pairs not yet sifted, s a table.
     """
 
     __slots__ = ("point", "gens", "gen_inverses", "reps", "inverses", "pending")
 
-    def __init__(self, point: int, identity: tuple[int, ...]):
+    def __init__(self, point: int, identity: _Word, identity_table: _Word):
         self.point = point
-        self.gens: list[tuple[int, ...]] = []
-        self.gen_inverses: list[tuple[int, ...]] = []
+        self.gens: list[_Word] = []
+        self.gen_inverses: list[_Word] = []
         self.reps = {point: identity}
-        self.inverses = {point: identity}
-        self.pending: deque[tuple[int, tuple[int, ...]]] = deque()
+        self.inverses = {point: identity_table}
+        self.pending: deque[tuple[int, _Word]] = deque()
 
-    def extend(self, g: tuple[int, ...], g_inv: tuple[int, ...]) -> None:
-        """Add the strong generator g, with its inverse g_inv: extend the
-        orbit from the images of the old points under g, then breadth-first
-        over the new points only, and queue the Schreier pairs that are new.
-        Existing reps never change.  A new point's inverse rep is gathered
-        from its parent's, (rep · s)⁻¹ = s⁻¹ · rep⁻¹, not inverted anew."""
+    def extend(
+        self,
+        g: _Word,
+        g_inv: _Word,
+        compose: Callable[[_Word, _Word], _Word],
+        pad: _Word,
+    ) -> None:
+        """Add the strong generator g (a table), with its inverse g_inv (a
+        word): extend the orbit from the images of the old points under g,
+        then breadth-first over the new points only, and queue the Schreier
+        pairs that are new.  Existing reps never change.  A new point's
+        inverse rep is gathered from its parent's, (rep · s)⁻¹ = s⁻¹ · rep⁻¹,
+        not inverted anew; ``compose`` and ``pad`` are the chain's."""
         reps, inverses, gens = self.reps, self.inverses, self.gens
         old = list(reps)
         gens.append(g)
         self.gen_inverses.append(g_inv)
         new = []
 
-        def visit(beta: int, s: tuple[int, ...], s_inv: tuple[int, ...]) -> None:
+        def visit(beta: int, s: _Word, s_inv: _Word) -> None:
             gamma = s[beta]
             if gamma not in reps:
-                reps[gamma] = then_images(reps[beta], s)
-                inverses[gamma] = then_images(s_inv, inverses[beta])
+                reps[gamma] = compose(reps[beta], s)
+                inverses[gamma] = compose(s_inv, inverses[beta]) + pad
                 new.append(gamma)
 
         for beta in old:
@@ -90,62 +117,78 @@ class _Chain:
     later of beta and s arrives, and sifted once.  By Schreier's lemma, once
     every pair has sifted to the identity each level's orbit times the order
     below is the group order, and sifting decides membership.
+
+    The degree n fixes the encoding of the chain's elements.  Up to n = 256
+    a word is ``bytes`` of the n images, and "apply p, then q" is
+    ``p.translate(q_table)``, one C call, where q's table is its word
+    followed by ``_BYTE_POINTS[n:]``.  ``bytes.translate`` needs a 256-byte
+    table but its cost follows the length of what it translates, so words
+    stay n bytes and only right-hand factors (strong generators and inverse
+    reps) are kept as tables.  Above 256 a byte cannot hold a point: a word
+    is an image tuple, composed by ``then_images``, and is its own table.
+    No element of the chain leaves it: ``contains`` encodes its query once.
     """
 
-    __slots__ = ("identity", "levels")
+    __slots__ = ("identity", "levels", "_encode", "_compose", "_invert", "_pad")
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
-        self.identity = tuple(range(degree))
+        if degree <= len(_BYTE_POINTS):
+            self.identity: _Word = _BYTE_POINTS[:degree]
+            self._encode, self._compose = bytes, bytes.translate
+            self._invert, self._pad = _invert_bytes, _BYTE_POINTS[degree:]
+        else:
+            self.identity = tuple(range(degree))
+            self._encode, self._compose = tuple, then_images
+            self._invert, self._pad = invert_images, ()
         self.levels: list[_ChainLevel] = []
         for g in generators:
-            residue, depth = self.sift(g.images)
+            residue, depth = self.sift(self._encode(g.images))
             if residue != self.identity:
                 self._insert(residue, 0, depth)
                 self._close(depth)
 
-    def sift(
-        self, images: tuple[int, ...], start: int = 0
-    ) -> tuple[tuple[int, ...], int]:
-        """Sift images down from level ``start``; returns the residue and
+    def sift(self, word: _Word, start: int = 0) -> tuple[_Word, int]:
+        """Sift a word down from level ``start``; returns the residue and
         the depth where it stopped (``len(levels)`` when it passed all)."""
-        levels = self.levels
+        levels, compose = self.levels, self._compose
         for depth in range(start, len(levels)):
             level = levels[depth]
-            beta = images[level.point]
+            beta = word[level.point]
             if beta != level.point:
                 inverse = level.inverses.get(beta)
                 if inverse is None:
-                    return images, depth
-                images = then_images(images, inverse)
-        return images, len(levels)
+                    return word, depth
+                word = compose(word, inverse)
+        return word, len(levels)
 
-    def _insert(self, g: tuple[int, ...], start: int, depth: int) -> None:
+    def _insert(self, g: _Word, start: int, depth: int) -> None:
         """g fixes the base points above ``depth``: it is a new strong
-        generator of every level from ``start`` to ``depth``; it is inverted
-        once for all of them."""
+        generator of every level from ``start`` to ``depth``; its table and
+        its inverse are made once for all of them."""
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
-            self.levels.append(_ChainLevel(point, self.identity))
-        g_inv = invert_images(g)
+            table = self.identity + self._pad
+            self.levels.append(_ChainLevel(point, self.identity, table))
+        g_table, g_inv = g + self._pad, self._invert(g)
         for level in self.levels[start : depth + 1]:
-            level.extend(g, g_inv)
+            level.extend(g_table, g_inv, self._compose, self._pad)
 
     def _close(self, depth: int) -> None:
         """Sift the pending Schreier pairs, deepest level first; a residue
         joins the levels below the pair's level only, since it already lies
         in that level's group."""
-        levels = self.levels
+        levels, compose = self.levels, self._compose
         while depth >= 0:
             level = levels[depth]
             if not level.pending:
                 depth -= 1
                 continue
             beta, s = level.pending.popleft()
-            moved = then_images(level.reps[beta], s)
+            moved = compose(level.reps[beta], s)
             gamma = s[beta]
             if moved == level.reps[gamma]:
                 continue  # a tree edge: the Schreier generator is trivial
-            schreier = then_images(moved, level.inverses[gamma])
+            schreier = compose(moved, level.inverses[gamma])
             residue, stop = self.sift(schreier, depth + 1)
             if residue != self.identity:
                 self._insert(residue, depth + 1, stop)
@@ -155,7 +198,7 @@ class _Chain:
         return math.prod(len(level.reps) for level in self.levels)
 
     def contains(self, images: tuple[int, ...]) -> bool:
-        return self.sift(images)[0] == self.identity
+        return self.sift(self._encode(images))[0] == self.identity
 
     def base_points(self) -> list[int]:
         return [level.point for level in self.levels]

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from cutgroups.corpus import bundled_corpus_path, parse_corpus, run_survey
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
-from cutgroups.constructions import alternating, iterated_wreath, symmetric
+from cutgroups.constructions import alternating, cyclic, iterated_wreath, symmetric
 from cutgroups.structure import conjugacy_classes, p_core
 
 
@@ -312,17 +313,24 @@ class TestChain:
 # chain in chain_oracle is the reference.
 BRUTE_CLOSURE_MAX = 5040
 
+# The chain holds bytes up to degree 256 and image tuples above; moving the
+# small cases up by 250 points runs them at degrees 251-259, across the switch.
+OFFSETS = (0, 250)
+
 
 @st.composite
 def generators_and_queries(draw):
     n = draw(st.integers(min_value=1, max_value=9))
-    perm = st.permutations(list(range(n))).map(Permutation)
+    offset = draw(st.sampled_from(OFFSETS))
+    perm = st.permutations(list(range(n))).map(
+        lambda images: Permutation(list(range(offset)) + [offset + i for i in images])
+    )
     gens = draw(st.lists(perm, min_size=1, max_size=4))
     randoms = draw(st.lists(perm, min_size=1, max_size=6))
     words = draw(st.lists(st.lists(st.sampled_from(gens), min_size=1, max_size=6), max_size=4))
     products = []
     for word in words:
-        p = Permutation.identity(n)
+        p = Permutation.identity(offset + n)
         for g in word:
             p = compose(p, g)
         products.append(p)
@@ -350,9 +358,34 @@ class TestChainInverses:
     @settings(max_examples=60, deadline=None)
     @given(generators_and_queries())
     def test_inverse_reps(self, case):
-        # inverses are gathered from the parent point's, not inverted anew
+        # inverses are gathered from the parent point's, not inverted anew;
+        # reps are words of the degree's length, inverses the tables that
+        # compose them on the right, in the chain's own encoding
         gens, _ = case
-        chain = PermGroup(gens[0].degree, gens)._built_chain()
+        degree = gens[0].degree
+        chain = PermGroup(degree, gens)._built_chain()
+        word = bytes if degree <= 256 else tuple
+        table_length = max(degree, 256)
         for level in chain.levels:
             for beta, rep in level.reps.items():
-                assert then_images(rep, level.inverses[beta]) == chain.identity
+                inverse = level.inverses[beta]
+                assert type(rep) is type(inverse) is word
+                assert (len(rep), len(inverse)) == (degree, table_length)
+                assert chain._compose(rep, inverse) == chain.identity
+
+
+class TestChainMemory:
+    def test_bytes_chain_of_cyclic_256(self):
+        # image tuples of all 256 reps and their inverses peak at 1.04 MiB;
+        # 256 words of 256 bytes and their tables at about 0.17 MiB
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            assert cyclic(256).order() == 256
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 0.5 * 2 ** 20
