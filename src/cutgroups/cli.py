@@ -132,7 +132,7 @@ def _load_single_group(args) -> PermGroup:
         raise CorpusError(
             f"{args.file}: expected exactly one record, found {len(records)}"
         )
-    return records[0].build_group()
+    return records[0].group
 
 
 def cmd_analyze(args) -> int:

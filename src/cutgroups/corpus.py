@@ -10,6 +10,9 @@ The corpus file format is line oriented (UTF-8, ``#`` comments):
     tags <comma-separated>      (optional)
     end
 
+Only ``gen`` may repeat in a record.  A parsed record holds the group its
+generators generate, and a survey analyzes that group.
+
 Survey reports are deterministic: rows are sorted by id, JSON keys are
 sorted, and nothing time- or host-dependent enters the body, so two runs
 over the same corpus are byte-identical.
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -33,7 +37,7 @@ from .errors import (
     DuplicateId,
     OrderMismatch,
 )
-from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup, _share_chain
+from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
 from .perm import format_permutation, parse_permutation
 from .rationality import CHECKS, Analysis, GroupReport, group_rationality
 
@@ -44,19 +48,15 @@ FORMATS = ("json", "csv", "text")
 
 @dataclass
 class GroupRecord:
+    """One corpus record: its id, the group its generators generate (the
+    group, and so its stabilizer chain, that parse_corpus built to check
+    the order), and the optional name, order and tags."""
+
     id: str
-    degree: int
-    generator_texts: list[str]
+    group: PermGroup
     name: str | None = None
     expected_order: int | None = None
     tags: list[str] = field(default_factory=list)
-    group: PermGroup | None = None
-
-    def build_group(self) -> PermGroup:
-        if self.group is None:
-            gens = [parse_permutation(t, self.degree) for t in self.generator_texts]
-            self.group = PermGroup(self.degree, gens)
-        return self.group
 
 
 @dataclass
@@ -100,8 +100,10 @@ class SurveyReport:
 def parse_corpus(path: str | Path) -> list[GroupRecord]:
     """Parse and validate a corpus file.
 
-    Generators must parse at the stated degree, ids must be unique, and a
-    declared order must match the computed group order.
+    Generators must parse at the stated degree, ids must be unique, a
+    record states each key but ``gen`` at most once, and a declared order
+    must match the computed group order.  Each record holds the group its
+    generators generate, with the stabilizer chain the order check built.
     """
     path = Path(path)
     records: list[GroupRecord] = []
@@ -134,6 +136,10 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
                 gen_lines = []
             elif current is None:
                 raise CorpusSyntaxError(line_no, f"{key!r} outside a group record")
+            elif key in ("name", "degree", "order", "tags") and key in current:
+                raise CorpusSyntaxError(
+                    line_no, f"record {current['id']!r} repeats {key!r}"
+                )
             elif key == "name":
                 current["name"] = rest
             elif key == "degree":
@@ -182,13 +188,11 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
             ) from None
     record = GroupRecord(
         id=current["id"],
-        degree=degree,
-        generator_texts=[text for _, text in gen_lines],
+        group=PermGroup(degree, gens),
         name=current.get("name"),
         expected_order=current.get("order"),
         tags=current.get("tags", []),
     )
-    record.group = PermGroup(degree, gens)
     if record.expected_order is not None:
         actual = record.group.order()
         if actual != record.expected_order:
@@ -198,40 +202,24 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
     return record
 
 
-def _analyze_payload(payload: dict, built: PermGroup | None = None) -> dict:
-    """Parse one record's generators from a plain payload (picklable for
-    worker pools) and analyze that group (see _analyze).  If ``built`` is a
-    group on the same generators, as parse_corpus builds a record's group,
-    the parsed group starts from its stabilizer chain, so the chain is not
-    built twice.  A generator text that does not parse makes the record an
-    error entry too."""
+def _analyze(
+    record: GroupRecord, cap: int, checks: tuple[str, ...], syl2: bool
+) -> dict:
+    """Analyze ``record.group`` under ``cap``, running ``checks``, and the
+    Sylow 2-subgroup of a cut group if ``syl2``.  A cap overrun makes the
+    record skipped; any other exception makes it an error, "TypeName:
+    message", so one bad record never ends the survey."""
+    rid = record.id
     try:
-        degree = payload["degree"]
-        G = PermGroup(degree, [parse_permutation(t, degree) for t in payload["gens"]])
-    except Exception as e:
-        return _error(payload["id"], e)
-    if built is not None:
-        _share_chain(G, built)
-    return _analyze(G, payload)
-
-
-def _analyze(G: PermGroup, payload: dict) -> dict:
-    """Analyze the group G of one record; the payload gives its id, cap and
-    checks.  A cap overrun makes the record skipped; any other exception
-    makes it an error, "TypeName: message", so one bad record never ends
-    the survey."""
-    rid = payload["id"]
-    cap = payload["cap"]
-    try:
-        analysis = Analysis(G, cap)
-        report, results = analysis.report, analysis.run(payload["checks"])
+        analysis = Analysis(record.group, cap)
+        report, results = analysis.report, analysis.run(checks)
         sylow2_cut = None
-        if payload["syl2"] and report.is_cut:
+        if syl2 and report.is_cut:
             sylow2_cut = group_rationality(analysis.sylow(2), cap).is_cut
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     except Exception as e:
-        return _error(rid, e)
+        return {"id": rid, "error": f"{type(e).__name__}: {e}"}
     return {
         "id": rid,
         "row": {
@@ -241,10 +229,6 @@ def _analyze(G: PermGroup, payload: dict) -> dict:
             "sylow2_cut": sylow2_cut,
         },
     }
-
-
-def _error(rid: str, e: Exception) -> dict:
-    return {"id": rid, "error": f"{type(e).__name__}: {e}"}
 
 
 def _process_pool(workers: int):
@@ -264,35 +248,26 @@ def run_survey(
     and any other per-record exception an errors entry, never silent drops.
     Row order is by record id regardless of workers.
 
-    Every record is analyzed as the group its generator texts generate.
-    Serially, that group starts from the stabilizer chain of
-    ``record.group`` when that is a group on the same generators, as
-    parse_corpus builds it.  A group holds no enumeration, so every
-    enumeration of a record belongs to its analysis and goes with it.  A
-    worker pool gets plain picklable payloads (id, degree, generator texts,
-    cap, checks)."""
+    Serial and pooled surveys map the one ``_analyze`` over the records.
+    Serially it analyzes ``record.group`` itself, from the stabilizer chain
+    parse_corpus built; a worker receives each record pickled, and its
+    group as degree and generators, so it builds the chain anew.  A group
+    holds no enumeration, so every enumeration of a record belongs to its
+    analysis and goes with it."""
     config = config or SurveyConfig()
     # every selected name but syl2 is a registry check
     checks = tuple(c for c in config.checks if c != "syl2")
     ordered = sorted(records, key=lambda r: r.id)
-    payloads = [
-        {
-            "id": r.id,
-            "degree": r.degree,
-            "gens": list(r.generator_texts),
-            "cap": config.cap,
-            "checks": checks,
-            "syl2": "syl2" in config.checks,
-        }
-        for r in ordered
-    ]
+    analyze = partial(
+        _analyze, cap=config.cap, checks=checks, syl2="syl2" in config.checks
+    )
     # a pool starts all its workers up front: no more than can run or have work
-    workers = min(config.workers, os.cpu_count() or 1, len(payloads))
+    workers = min(config.workers, os.cpu_count() or 1, len(ordered))
     if workers > 1:
         with _process_pool(workers) as pool:
-            outcomes = list(pool.map(_analyze_payload, payloads))
+            outcomes = list(pool.map(analyze, ordered))
     else:
-        outcomes = [_analyze_payload(p, r.group) for r, p in zip(ordered, payloads)]
+        outcomes = list(map(analyze, ordered))
 
     rows: list[dict] = []
     skipped: list[dict] = []

@@ -6,13 +6,14 @@ incremental Schreier-Sims, so they work far beyond the enumeration cap.
 Up to degree 256 the chain holds its elements as ``bytes``, one point per
 byte, and composes two of them with one ``bytes.translate``; above 256 a
 byte cannot hold a point, and it holds image tuples.  A group holds its
-generators and that chain, nothing else.  Enumeration is a breadth-first
-closure over the generators on image tuples, which fixes the element
-ordering that all downstream class indexing relies on; ``closure`` returns
-what it computes (the image tuples with their ``tuple -> index`` dict,
-every product element · generator as a right Cayley column on element
-indices, and the tree of first discoveries) to its caller and keeps none
-of it, so each reader owns the enumeration it asked for.
+generators and that chain, nothing else, and pickles or copies as its
+degree and generators: the copy builds its own chain.  Enumeration is a
+breadth-first closure over the generators on image tuples, which fixes the
+element ordering that all downstream class indexing relies on; ``closure``
+returns what it computes (the image tuples with their ``tuple -> index``
+dict, every product element · generator as a right Cayley column on
+element indices, and the tree of first discoveries) to its caller and
+keeps none of it, so each reader owns the enumeration it asked for.
 """
 
 from __future__ import annotations
@@ -249,7 +250,9 @@ class PermGroup:
     only what order and membership need: its generators and the stabilizer
     chain, built at most once under a lock so concurrent readers share it.
     Every enumeration is built when it is asked for and belongs to the
-    caller; the slots keep anything else from being stored on a group.
+    caller; the slots keep anything else from being stored on a group.  A
+    pickle or copy carries the degree and generators only: the receiver
+    builds its own lock, and its own chain when it is asked for.
     """
 
     __slots__ = ("degree", "generators", "_lock", "_chain", "_order")
@@ -270,6 +273,9 @@ class PermGroup:
         self._lock = threading.Lock()
         self._chain: _Chain | None = None
         self._order: int | None = None
+
+    def __reduce__(self):
+        return PermGroup, (self.degree, self.generators)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -325,15 +331,6 @@ class PermGroup:
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""
         return self._built_chain().base_points()
-
-
-def _share_chain(H: PermGroup, G: PermGroup) -> None:
-    """Let H start from G's stabilizer chain and order, if G has built them,
-    when the two have the same degree and generators.  A ``_Chain`` is only
-    read after its constructor, so the two groups can share it; a group
-    holds nothing else to share."""
-    if (H.degree, H.generators) == (G.degree, G.generators):
-        H._chain, H._order = G._chain, G._order
 
 
 def trivial_group(degree: int) -> PermGroup:

@@ -70,7 +70,7 @@ def test_criterion_01_cut_oracle_equivalence(corpus):
     start = time.monotonic()
     checked = 0
     for record in corpus:
-        G = record.build_group()
+        G = record.group
         if G.order() > 200:
             continue
         assert group_rationality(G).is_cut == is_cut_bruteforce(G), record.id
@@ -119,7 +119,7 @@ def test_criterion_02_definition_fidelity():
 def test_criterion_03_column_field_equivalence(corpus):
     classes_checked = 0
     for record in corpus:
-        G = record.build_group()
+        G = record.group
         table = conjugacy_classes(G)
         for c in range(len(table)):
             r = classify_class(table, c)

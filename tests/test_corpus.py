@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,18 +30,13 @@ from cutgroups.errors import (
     OrderMismatch,
 )
 from cutgroups.group import DEFAULT_CAP, PermGroup
-from cutgroups.perm import Permutation, format_permutation
+from cutgroups.perm import Permutation
 from cutgroups.rationality import CHECKS
 from cutgroups.constructions import cyclic, symmetric
 
 
 def record_for(rid, G, order=None):
-    return GroupRecord(
-        id=rid,
-        degree=G.degree,
-        generator_texts=[format_permutation(g) for g in G.generators],
-        expected_order=order,
-    )
+    return GroupRecord(id=rid, group=G, expected_order=order)
 
 
 class TestParseCorpus:
@@ -163,59 +159,38 @@ class TestRunSurvey:
 
         monkeypatch.setattr(PermGroup, "elements", no_elements)
         for r in records:
-            outcome = corpus._analyze_payload({
-                "id": r.id,
-                "degree": r.degree,
-                "gens": list(r.generator_texts),
-                "cap": DEFAULT_CAP,
-                "checks": tuple(CHECKS),
-                "syl2": True,
-            })
+            outcome = corpus._analyze(r, DEFAULT_CAP, tuple(CHECKS), syl2=True)
             assert "error" not in outcome, outcome
             assert "row" in outcome
         assert len(records) == 172
 
     def test_serial_survey_reuses_each_record_chain(self, monkeypatch):
-        # each record is analyzed as a new group on the chain parse_corpus
-        # built, and the record's own group is never enumerated
-        records = parse_corpus(bundled_corpus_path())
-        by_id = {r.id: r for r in records}
-        shared = []
-        real = corpus._analyze
+        # parse_corpus builds each record's chain to check its order, and a
+        # serial survey analyzes record.group itself on that chain
+        builds = Counter()
+        built_chain = PermGroup._built_chain
 
-        def recording(G, payload):
-            record = by_id[payload["id"]]
-            shared.append(G is not record.group and G._chain is record.group._chain)
-            return real(G, payload)
+        def counting(group):
+            builds[id(group)] += group._chain is None
+            return built_chain(group)
 
-        monkeypatch.setattr(corpus, "_analyze", recording)
+        analyzed = []
+        analysis = corpus.Analysis
+
+        def recording(G, cap):
+            analyzed.append(G)
+            return analysis(G, cap)
+
+        monkeypatch.setattr(PermGroup, "_built_chain", counting)
+        monkeypatch.setattr(corpus, "Analysis", recording)
+        records = sorted(parse_corpus(bundled_corpus_path()), key=lambda r: r.id)
         report = run_survey(records)
-        assert len(report.rows) == len(shared) == 172
-        assert all(shared)
-        assert all(r.group._chain is not None for r in records)
+        assert len(report.rows) == len(records) == 172
+        assert all(G is r.group for G, r in zip(analyzed, records, strict=True))
+        assert [builds[id(r.group)] for r in records] == [1] * 172
         # a group has slots only: no analysis can be stashed on it
         with pytest.raises(AttributeError):
             records[0].group.table = None
-
-    def test_record_without_group_is_parsed_in_the_survey(self):
-        good = record_for("c3", cyclic(3))
-        bad = GroupRecord(id="bad", degree=3, generator_texts=["(1 9)"])
-        report = run_survey([good, bad], SurveyConfig(checks=("bmp",)))
-        assert [row["id"] for row in report.rows] == ["c3"]
-        assert [e["id"] for e in report.errors] == ["bad"]
-        assert report.errors[0]["error"].startswith("PointOutOfRange")
-
-    def test_row_comes_from_the_generator_texts(self):
-        # a record whose group is on other generators lends it no chain:
-        # the row is that of its texts, as a worker process computes it
-        config = SurveyConfig(checks=("bmp",))
-        from_texts = run_survey([record_for("g", symmetric(3))], config)
-        mismatched = record_for("g", symmetric(3))
-        mismatched.group = cyclic(3)
-        assert mismatched.group.order() == 3
-        report = run_survey([mismatched], config)
-        assert report.rows == from_texts.rows
-        assert report.rows[0]["order"] == 6
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_rejected(self, workers):
@@ -266,6 +241,18 @@ class TestRunSurvey:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
         assert result.stdout.strip() == "False"
+
+    def test_pool_matches_serial_on_the_bundled_corpus(self, monkeypatch):
+        # every bundled group goes to a worker pickled, as degree and
+        # generators, and comes back as the serial row; two CPUs are
+        # reported so that a one-CPU host runs the pool too
+        monkeypatch.setattr(corpus.os, "cpu_count", lambda: 2)
+        records = parse_corpus(bundled_corpus_path())
+        seq = run_survey(records, SurveyConfig(workers=1))
+        par = run_survey(records, SurveyConfig(workers=2))
+        assert len(seq.rows) == 172
+        for part in ("rows", "aggregates", "failures", "skipped"):
+            assert getattr(par, part) == getattr(seq, part), part
 
     def test_workers_do_not_change_output(self):
         records = [record_for(f"c{n:02d}", cyclic(n)) for n in range(1, 12)]
@@ -342,7 +329,7 @@ junk = st.one_of(
     st.sampled_from(["(1 2", "(0 1)", "(1 1)", "(x y)", "(1)(2 3)", "1 2", "()()"]),
 )
 mutations = st.one_of(
-    st.tuples(st.just("delete"), st.integers(0, 50)),
+    st.tuples(st.sampled_from(["delete", "repeat"]), st.integers(0, 50)),
     st.tuples(
         st.sampled_from(["replace", "insert"]),
         st.integers(0, 50),
@@ -371,7 +358,7 @@ class TestParseCorpusProperties:
         assert [r.id for r in records] == [rid for rid, _ in groups]
         for record, (rid, G) in zip(records, groups):
             assert record.name == rid
-            assert record.degree == G.degree
+            assert record.group.degree == G.degree
             assert [g.images for g in record.group.generators] == [
                 g.images for g in G.generators
             ]
@@ -385,6 +372,8 @@ class TestParseCorpusProperties:
             i = edit[1] % (len(lines) + 1)
             if edit[0] == "delete":
                 del lines[i:i + 1]
+            elif edit[0] == "repeat":
+                lines[i:i] = lines[i:i + 1]
             else:
                 line = f"{edit[2]} {edit[3]}"
                 lines[i:i + (edit[0] == "replace")] = [line]
@@ -399,6 +388,7 @@ class TestParseCorpusProperties:
         ("group g\ndegree 3\ngen (1 2)\norder 3\nend\n", "line 4:"),
         ("group a\ndegree 2\ngen (1 2)\nend\ngroup a\nend\n", "line 5"),
         ("group Ж\ndegree ٣\ngen (1 2)\nend\ngroup Ж\nend\n", "line 5"),
+        ("group g\ndegree 3\ngen (1 2 3)\ndegree 5\nend\n", "line 4:"),
     ])
     def test_malformed_examples(self, tmp_path, text, fragment):
         path = tmp_path / "bad.corpus"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 import time
@@ -55,6 +57,33 @@ class TestConstruction:
     def test_s5_order(self):
         G = PermGroup(5, [parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2)", 5)])
         assert G.order() == 120
+
+
+class TestPickle:
+    """A group pickles and copies as its degree and generators."""
+
+    def test_round_trip_keeps_generators_and_order(self):
+        G = iterated_wreath(2, 3)
+        H = pickle.loads(pickle.dumps(G))
+        assert H.degree == G.degree
+        assert [h.images for h in H.generators] == [g.images for g in G.generators]
+        assert H.order() == G.order() == 128
+
+    def test_copy_builds_its_chain_when_asked(self):
+        G = symmetric(6)
+        G.order()
+        H = pickle.loads(pickle.dumps(G))
+        assert G._chain is not None
+        assert H._chain is None and H._order is None
+        assert H.contains(G.generators[0])
+        assert H._chain is not None and H._chain is not G._chain
+
+    def test_copy_has_its_own_lock(self):
+        G = symmetric(4)
+        H = copy.copy(G)
+        assert H._lock is not G._lock
+        with G._lock:  # G's lock held: H still builds its chain
+            assert H.order() == 24
 
 
 class TestOrder:

@@ -92,3 +92,33 @@ def test_every_definition_is_referenced():
     package = Path(cutgroups.__file__).parent
     sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def private_group_imports(source: str) -> list[str]:
+    """Underscore-prefixed names a module imports from ``cutgroups.group``:
+    chain handling stays inside group.py."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in {("group", 1), ("cutgroups.group", 0)}
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_scanner_finds_a_private_group_import():
+    source = (
+        "from .group import PermGroup, _Chain\n"
+        "from cutgroups.group import _share_chain\n"
+        "from .perm import _private\n"
+        "from .structure import group\n"
+    )
+    assert private_group_imports(source) == ["_Chain (line 1)", "_share_chain (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_no_private_group_imports(path):
+    assert private_group_imports(path.read_text(encoding="utf-8")) == []

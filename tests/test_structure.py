@@ -48,7 +48,7 @@ from cutgroups.constructions import (
 
 def bundled_group(record_id):
     record = next(r for r in parse_corpus(bundled_corpus_path()) if r.id == record_id)
-    return record.build_group()
+    return record.group
 
 
 def successive_product_rows(T):
@@ -468,7 +468,7 @@ class TestSylowAgainstEagerScan:
         # pick exactly the eager scan's elements
         checked = 0
         for record in parse_corpus(bundled_corpus_path()):
-            G = record.build_group()
+            G = record.group
             if G.order() > 2000:
                 continue
             for p in prime_divisors(G.order()):
