@@ -3,17 +3,18 @@
 Order and membership go through a deterministic stabilizer chain
 (base-and-strong-generators, smallest moved point first) built by
 incremental Schreier-Sims, so they work far beyond the enumeration cap.
-Up to degree 256 the chain holds its elements as ``bytes``, one point per
-byte, and composes two of them with one ``bytes.translate``; above 256 a
-byte cannot hold a point, and it holds image tuples.  A group holds its
-generators and that chain, nothing else, and pickles or copies as its
-degree and generators: the copy builds its own chain.  Enumeration is a
-breadth-first closure over the generators on image tuples, which fixes the
-element ordering that all downstream class indexing relies on; ``closure``
-returns what it computes (the image tuples with their ``tuple -> index``
-dict, every product element · generator as a right Cayley column on
-element indices, and the tree of first discoveries) to its caller and
-keeps none of it, so each reader owns the enumeration it asked for.
+Enumeration is a breadth-first closure over the generators, which fixes
+the element ordering that all downstream class indexing relies on.  Both
+hold elements as words of the degree's ``Encoding``: up to degree 256 a
+word is ``bytes``, one point per byte, and two words compose with one
+``bytes.translate``; above 256 a byte cannot hold a point, and a word is
+an image tuple.  A group holds its generators, their encoding and the
+chain, nothing else, and pickles or copies as its degree and generators:
+the copy builds its own chain.  ``closure`` returns what it computes (the
+words with their ``word -> index`` dict, every product element · generator
+as a right Cayley column on element indices, and the tree of first
+discoveries) to its caller and keeps none of it, so each reader owns the
+enumeration it asked for.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import math
 import threading
 from array import array
 from collections import deque
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from .perm import Permutation, invert_images, then_images
@@ -32,8 +32,8 @@ DEFAULT_CAP = 100_000
 # Largest degree of a constructed family or a corpus record.
 MAX_DEGREE = 10 ** 6
 
-# A chain element in the chain's encoding (see _Chain): bytes up to degree
-# 256, an image tuple above.
+# An element in a group's encoding (see Encoding): bytes up to degree 256,
+# an image tuple above.
 _Word = bytes | tuple[int, ...]
 # Every point a byte can hold.  At degree n the first n bytes are the
 # identity, and the rest pads an n-byte word to a translation table.
@@ -47,11 +47,42 @@ def _invert_bytes(g: bytes) -> bytes:
     return bytes.maketrans(g, _BYTE_POINTS[:n])[:n]
 
 
+class Encoding:
+    """How the chain and the closure of a group of one degree hold its
+    elements.  A *word* is an element's n images, and a *table* is what an
+    element must be to be composed on the right.
+
+    Up to n = 256 a word is ``bytes``, one point per byte, and "apply p,
+    then q" is ``compose(p, q_table) = p.translate(q_table)``, one C call,
+    where q's table is its word followed by ``_BYTE_POINTS[n:]``.
+    ``bytes.translate`` needs a 256-byte table but its cost follows the
+    length of what it translates, so words stay n bytes and only right-hand
+    factors are kept as tables.  Above 256 a byte cannot hold a point: a
+    word is an image tuple, composed by ``then_images``, and is its own
+    table.  ``encode`` takes an image tuple to a word and ``decode`` a word
+    back to the image tuple a Permutation holds.
+    """
+
+    __slots__ = ("identity", "encode", "decode", "compose", "invert", "pad")
+
+    def __init__(self, degree: int):
+        self.decode = tuple
+        if degree <= len(_BYTE_POINTS):
+            self.identity: _Word = _BYTE_POINTS[:degree]
+            self.encode, self.compose = bytes, bytes.translate
+            self.invert, self.pad = _invert_bytes, _BYTE_POINTS[degree:]
+        else:
+            self.identity = tuple(range(degree))
+            self.encode, self.compose = tuple, then_images
+            self.invert, self.pad = invert_images, ()
+
+    def table(self, word: _Word) -> _Word:
+        return word + self.pad
+
+
 class _ChainLevel:
-    """One level of a stabilizer chain, in the chain's encoding (see
-    ``_Chain``): a *word* is an element's n images, and a *table* is what
-    an element must be to be composed on the right, its word padded to 256
-    bytes in the bytes encoding and the word itself for tuples.
+    """One level of a stabilizer chain, in the group's ``Encoding`` of
+    words and tables.
 
     ``gens`` is S_L as tables, every strong generator that reached this
     level, so ``<gens>`` is this level's group and fixes every earlier base
@@ -72,20 +103,15 @@ class _ChainLevel:
         self.inverses = {point: identity_table}
         self.pending: deque[tuple[int, _Word]] = deque()
 
-    def extend(
-        self,
-        g: _Word,
-        g_inv: _Word,
-        compose: Callable[[_Word, _Word], _Word],
-        pad: _Word,
-    ) -> None:
+    def extend(self, g: _Word, g_inv: _Word, encoding: Encoding) -> None:
         """Add the strong generator g (a table), with its inverse g_inv (a
         word): extend the orbit from the images of the old points under g,
         then breadth-first over the new points only, and queue the Schreier
         pairs that are new.  Existing reps never change.  A new point's
         inverse rep is gathered from its parent's, (rep · s)⁻¹ = s⁻¹ · rep⁻¹,
-        not inverted anew; ``compose`` and ``pad`` are the chain's."""
+        not inverted anew."""
         reps, inverses, gens = self.reps, self.inverses, self.gens
+        compose, pad = encoding.compose, encoding.pad
         old = list(reps)
         gens.append(g)
         self.gen_inverses.append(g_inv)
@@ -119,28 +145,19 @@ class _Chain:
     every pair has sifted to the identity each level's orbit times the order
     below is the group order, and sifting decides membership.
 
-    The degree n fixes the encoding of the chain's elements.  Up to n = 256
-    a word is ``bytes`` of the n images, and "apply p, then q" is
-    ``p.translate(q_table)``, one C call, where q's table is its word
-    followed by ``_BYTE_POINTS[n:]``.  ``bytes.translate`` needs a 256-byte
-    table but its cost follows the length of what it translates, so words
-    stay n bytes and only right-hand factors (strong generators and inverse
-    reps) are kept as tables.  Above 256 a byte cannot hold a point: a word
-    is an image tuple, composed by ``then_images``, and is its own table.
-    No element of the chain leaves it: ``contains`` encodes its query once.
+    Elements are words in the group's ``Encoding``; only right-hand factors
+    (strong generators and inverse reps) are kept as tables.  No element of
+    the chain leaves it: ``contains`` encodes its query once.  The chain
+    keeps the encoding's identity, encode and compose as its own slots, so
+    that a membership query reads them in one attribute load each.
     """
 
-    __slots__ = ("identity", "levels", "_encode", "_compose", "_invert", "_pad")
+    __slots__ = ("encoding", "identity", "levels", "_encode", "_compose")
 
-    def __init__(self, degree: int, generators: Sequence[Permutation]):
-        if degree <= len(_BYTE_POINTS):
-            self.identity: _Word = _BYTE_POINTS[:degree]
-            self._encode, self._compose = bytes, bytes.translate
-            self._invert, self._pad = _invert_bytes, _BYTE_POINTS[degree:]
-        else:
-            self.identity = tuple(range(degree))
-            self._encode, self._compose = tuple, then_images
-            self._invert, self._pad = invert_images, ()
+    def __init__(self, encoding: Encoding, generators: Sequence[Permutation]):
+        self.encoding = encoding
+        self.identity = encoding.identity
+        self._encode, self._compose = encoding.encode, encoding.compose
         self.levels: list[_ChainLevel] = []
         for g in generators:
             residue, depth = self.sift(self._encode(g.images))
@@ -166,13 +183,14 @@ class _Chain:
         """g fixes the base points above ``depth``: it is a new strong
         generator of every level from ``start`` to ``depth``; its table and
         its inverse are made once for all of them."""
+        encoding = self.encoding
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
-            table = self.identity + self._pad
+            table = encoding.table(self.identity)
             self.levels.append(_ChainLevel(point, self.identity, table))
-        g_table, g_inv = g + self._pad, self._invert(g)
+        g_table, g_inv = encoding.table(g), encoding.invert(g)
         for level in self.levels[start : depth + 1]:
-            level.extend(g_table, g_inv, self._compose, self._pad)
+            level.extend(g_table, g_inv, encoding)
 
     def _close(self, depth: int) -> None:
         """Sift the pending Schreier pairs, deepest level first; a residue
@@ -210,28 +228,25 @@ Cayley = tuple[list[array], array, array]
 
 
 def _closure(
-    degree: int, generators: Sequence[Permutation]
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], Cayley]:
-    """Breadth-first closure over the generators on image tuples, from the
+    encoding: Encoding, generators: Sequence[Permutation]
+) -> tuple[list[_Word], dict[_Word, int], Cayley]:
+    """Breadth-first closure over the generators on words, from the
     identity, recording every product it takes in the Cayley columns;
-    returns the tuples, the dict from each tuple to its position, and the
+    returns the words, the dict from each word to its position, and the
     columns with the tree."""
-    gens = [g.images for g in generators]
-    identity = tuple(range(degree))
-    out = [identity]
-    index = {identity: 0}
+    compose = encoding.compose
+    tables = [encoding.table(encoding.encode(g.images)) for g in generators]
+    out = [encoding.identity]
+    index = {encoding.identity: 0}
     # lists while growing (an array append costs a few list appends), then
     # packed into arrays
-    right: list[list[int]] = [[] for _ in gens]
+    right: list[list[int]] = [[] for _ in tables]
     parent = [-1]
     edge = [-1]
-    steps = [(e, g, column.append) for e, (g, column) in enumerate(zip(gens, right))]
+    steps = [(e, g, column.append) for e, (g, column) in enumerate(zip(tables, right))]
     for i, p in enumerate(out):  # grows while it is walked: layer by layer
-        # "apply p, then g" gathers g at p, as then_images does; at degree 1
-        # itemgetter would return a bare int, but p is the identity there
-        product = itemgetter(*p) if degree > 1 else tuple
         for e, g, record in steps:
-            q = product(g)
+            q = compose(p, g)  # apply p, then g
             n = len(out)
             j = index.setdefault(q, n)
             if j == n:
@@ -247,15 +262,16 @@ class PermGroup:
     """A finite permutation group given by generators on {1..degree}.
 
     The identity is always a member, even if not listed.  A group holds
-    only what order and membership need: its generators and the stabilizer
-    chain, built at most once under a lock so concurrent readers share it.
+    only what order and membership need: its generators, the ``Encoding``
+    of its degree, and the stabilizer chain, built at most once under a
+    lock so concurrent readers share it.
     Every enumeration is built when it is asked for and belongs to the
     caller; the slots keep anything else from being stored on a group.  A
     pickle or copy carries the degree and generators only: the receiver
     builds its own lock, and its own chain when it is asked for.
     """
 
-    __slots__ = ("degree", "generators", "_lock", "_chain", "_order")
+    __slots__ = ("degree", "generators", "encoding", "_lock", "_chain", "_order")
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
         if degree < 1:
@@ -270,6 +286,7 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = gens
+        self.encoding = Encoding(degree)
         self._lock = threading.Lock()
         self._chain: _Chain | None = None
         self._order: int | None = None
@@ -285,7 +302,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _Chain(self.degree, self.generators)
+                    self._chain = _Chain(self.encoding, self.generators)
         return self._chain
 
     def order(self) -> int:
@@ -302,18 +319,20 @@ class PermGroup:
 
     def closure(
         self, cap: int = DEFAULT_CAP
-    ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], Cayley]:
-        """``(images, index, (right, parent, edge))``, built on every call:
-        the image tuples of the |G| elements by breadth-first closure over
-        the generators, the dict from each tuple to its position, and what
-        the closure computed on those positions.
+    ) -> tuple[list[_Word], dict[_Word, int], Cayley]:
+        """``(words, index, (right, parent, edge))``, built on every call:
+        the |G| elements as words of the group's ``encoding`` (``bytes`` up
+        to degree 256, image tuples above; ``encoding.decode`` gives the
+        image tuple) by breadth-first closure over the generators, the dict
+        from each word to its position, and what the closure computed on
+        those positions.
 
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (checked against the exact chain order up front).
 
-        ``right[e][i]`` is the index of ``images[i] · generators[e]``, and
-        ``images[j] = images[parent[j]] · generators[edge[j]]`` with
+        ``right[e][i]`` is the index of ``words[i] · generators[e]``, and
+        ``words[j] = words[parent[j]] · generators[edge[j]]`` with
         ``parent[j] < j`` (the breadth-first tree; the root, the identity,
         has parent and edge -1).  All are ``array('i')``: a list would hold
         a separate int object for every index above 256.
@@ -321,12 +340,13 @@ class PermGroup:
         order = self.order()
         if order > cap:
             raise CapExceeded(order, cap)
-        return _closure(self.degree, self.generators)
+        return _closure(self.encoding, self.generators)
 
     def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
-        """The tuples of ``closure(cap)`` as Permutations, in the same
+        """The words of ``closure(cap)`` as Permutations, in the same
         order; built on every call."""
-        return [Permutation._trusted(q) for q in self.closure(cap)[0]]
+        decode = self.encoding.decode
+        return [Permutation._trusted(decode(w)) for w in self.closure(cap)[0]]
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""

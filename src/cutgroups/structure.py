@@ -5,13 +5,15 @@ All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
 solvability, exp(P/P')) work beyond it.  The class table owns G's
 enumeration: ``conjugacy_classes`` asks ``PermGroup.closure`` for it once,
-keeps its ``tuple -> index`` dict with the class of each position, and
-drops the rest after the sweep.  The sweep runs on element indices: it
-reads conjugation off the Cayley columns and the breadth-first tree of the
-closure, makes no image tuple, and wraps only the class reps as
-Permutations.  The power map computes a row by successive products only
-for a class that is not a power of an earlier one, so at most one row per
-Galois orbit of classes, and derives every other row from it.
+keeps its ``word -> index`` dict with the class of each position, and
+drops the rest after the sweep.  Words are in G's ``encoding`` (``bytes``
+up to degree 256), which every subgroup of G shares.  The sweep runs on
+element indices: it reads conjugation off the Cayley columns and the
+breadth-first tree of the closure, makes no word, and wraps only the
+class reps as Permutations.  The power map computes a row by successive
+products of words only for a class that is not a power of an earlier
+one, so at most one row per Galois orbit of classes, and derives every
+other row from it.
 
 The Sylow scans read element orders off the class table, and O_p(G) is the
 union of the classes of G that lie wholly in a Sylow p-subgroup
@@ -29,7 +31,7 @@ from collections.abc import Iterable
 
 from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
-from .perm import Permutation, commutator, compose, then_images
+from .perm import Permutation, commutator, compose
 
 
 def is_prime(n: int) -> bool:
@@ -75,15 +77,16 @@ class ClassTable:
     sizes, the class of every element, and the power map of every class,
     built here and never changed afterwards.
 
-    ``index`` is the closure's dict from each element's image tuple to its
-    position, and ``classes[i]`` the class of the element at position i, so
-    an element t lies in class ``classes[index[t]]``.
+    ``index`` is the closure's dict from each element's word, in
+    ``group.encoding``, to its position, and ``classes[i]`` the class of
+    the element at position i, so an element with word t lies in class
+    ``classes[index[t]]``.
 
     reps[0] is always the identity class; power_map[c][k] is the class of
     reps[c] ** k for k in 0..rep_orders[c]-1.
 
     Only a class c whose row is not known yet gets its row by successive
-    products of image tuples, up to the identity, which also gives the
+    products of words, up to the identity, which also gives the
     rep's order o.  Every class d = row[k] then gets its row from that one:
     reps[d] is conjugate to reps[c] ** k, so reps[d] ** j lies in the class
     row[k*j mod o].  In particular the units k derive the rows of c's whole
@@ -103,16 +106,18 @@ class ClassTable:
         self.sizes = sizes
         self.index = index
         self.classes = classes
-        identity = reps[0].images
+        encoding = group.encoding
+        compose_words, identity = encoding.compose, encoding.identity
         rows: list[list[int] | None] = [None] * len(reps)
         for c, rep in enumerate(reps):
             if rows[c] is not None:
                 continue
-            x = images = rep.images
+            x = encoding.encode(rep.images)
+            table = encoding.table(x)
             row = [0]
             while x != identity:
                 row.append(classes[index[x]])
-                x = then_images(x, images)
+                x = compose_words(x, table)
             rows[c] = row
             o = len(row)
             for k in range(2, o):
@@ -127,8 +132,8 @@ class ClassTable:
 
     def class_index(self, p: Permutation) -> int:
         try:
-            return self.classes[self.index[p.images]]
-        except KeyError:
+            return self.classes[self.index[self.group.encoding.encode(p.images)]]
+        except (KeyError, ValueError):  # bytes() rejects a point above 255
             raise ValueError(f"{p} is not a member of the group") from None
 
     def power_class(self, c: int, k: int) -> int:
@@ -145,11 +150,12 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     generator is an integer permutation read from the closure's Cayley
     columns (see _conjugation_actions), and classes are its orbits.  Only
     the reps are wrapped as Permutations; the table keeps the closure's
-    index, and the image list and columns go when the sweep returns.
+    index, and the word list and columns go when the sweep returns.
     """
-    images, index, cayley = G.closure(cap)
+    words, index, cayley = G.closure(cap)
+    decode = G.encoding.decode
     actions = _conjugation_actions(cayley)
-    cls = [-1] * len(images)
+    cls = [-1] * len(words)
     reps: list[Permutation] = []
     sizes: list[int] = []
     for x, c in enumerate(cls):
@@ -164,7 +170,7 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                 if cls[z] < 0:
                     cls[z] = idx
                     members.append(z)
-        reps.append(Permutation._trusted(images[x]))
+        reps.append(Permutation._trusted(decode(words[x])))
         sizes.append(len(members))
     return ClassTable(G, reps, sizes, index, cls)
 
@@ -243,7 +249,7 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     G = table.group
     target = p_part(G.order(), p)
     index, classes = table.index, table.classes
-    orders = table.rep_orders
+    orders, decode = table.rep_orders, G.encoding.decode
     gens: list[Permutation] = []
     P = trivial_group(G.degree)
     while P.order() < target:
@@ -252,7 +258,7 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
             o = orders[c]
             if o % p:
                 continue  # a p'-element's p-part is the identity
-            y = Permutation._trusted(t)
+            y = Permutation._trusted(decode(t))
             if not _normalizes(y, P):
                 continue
             z = y ** (o // p_part(o, p))
@@ -273,9 +279,10 @@ def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return core_of(_sylow(table, p), table, cap)
 
 
-def core_classes(members: Iterable[tuple[int, ...]], table: ClassTable) -> set[int]:
+def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) -> set[int]:
     """The classes of G, the group of ``table``, that lie wholly in its
-    subgroup P, given the image tuples of P's members (``P.closure()[0]``).
+    subgroup P, given the words of P's members (``P.closure()[0]``), which
+    are in G's encoding since P has G's degree.
     For P Sylow their union is O_p(G), the intersection of the conjugates
     of P: its order is the sum of their sizes and its exponent the lcm of
     their rep orders.
@@ -297,11 +304,12 @@ def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGrou
     members = P.closure(cap)[0]
     core = core_classes(members, table)
     index, classes = table.index, table.classes
+    decode = P.encoding.decode
     gens: list[Permutation] = []
     group = trivial_group(P.degree)
     for t in members:
         if classes[index[t]] in core:
-            e = Permutation._trusted(t)
+            e = Permutation._trusted(decode(t))
             if not group.contains(e):
                 gens.append(e)
                 group = PermGroup(P.degree, gens)

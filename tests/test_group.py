@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chain_oracle import oracle_chain
+from closure_oracle import tuple_closure
 from cutgroups import cli
 from cutgroups.corpus import bundled_corpus_path, parse_corpus, run_survey
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
@@ -184,16 +185,18 @@ class TestCayley:
 
     @staticmethod
     def assert_cayley_right(G):
-        elems, index, (right, parent, edge) = G.closure()
+        words, index, (right, parent, edge) = G.closure()
+        encode, decode = G.encoding.encode, G.encoding.decode
+        elems = [decode(w) for w in words]
         assert elems == layered_closure(G)
         assert [e.images for e in G.elements()] == elems
-        assert index == {p: i for i, p in enumerate(elems)}
+        assert index == {encode(p): i for i, p in enumerate(elems)}
         gens = [g.images for g in G.generators]
         assert len(right) == len(gens)
         for column in (*right, parent, edge):
             assert column.typecode == "i" and len(column) == len(elems)
         for e, g in enumerate(gens):
-            assert list(right[e]) == [index[then_images(p, g)] for p in elems]
+            assert list(right[e]) == [index[encode(then_images(p, g))] for p in elems]
         assert parent[0] == edge[0] == -1
         for j in range(1, len(elems)):
             assert 0 <= parent[j] < j
@@ -418,3 +421,51 @@ class TestChainMemory:
             if started:
                 tracemalloc.stop()
         assert peak < 0.5 * 2 ** 20
+
+
+@st.composite
+def small_closure_generators(draw):
+    """1-3 random generators of degree 1-9, at offset 0 or 250 like
+    generators_and_queries, that move at most 7 points between them, so
+    the group has at most 7! elements."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    offset = draw(st.sampled_from(OFFSETS))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=7))
+
+    def on_support(images):
+        out = list(range(offset + n))
+        for a, b in zip(support, images):
+            out[offset + a] = offset + b
+        return Permutation(out)
+
+    return draw(st.lists(st.permutations(support).map(on_support), min_size=1, max_size=3))
+
+
+class TestClosureAgainstTupleClosure:
+    """The closure on the words of the group's encoding against the closure
+    on image tuples it replaced, kept in tests/closure_oracle.py."""
+
+    @staticmethod
+    def assert_same_closure(G):
+        words, index, cayley = G.closure()
+        images, tuple_index, tuple_cayley = tuple_closure(G.degree, G.generators)
+        word = bytes if G.degree <= 256 else tuple
+        assert all(type(w) is word for w in words)
+        decode = G.encoding.decode
+        assert [decode(w) for w in words] == images
+        assert {decode(w): i for w, i in index.items()} == tuple_index
+        assert list(index.values()) == list(range(len(words)))
+        assert cayley == tuple_cayley
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_closure_generators())
+    def test_random_groups(self, gens):
+        self.assert_same_closure(PermGroup(gens[0].degree, gens))
+
+    @pytest.mark.parametrize(
+        "G",
+        [symmetric(8), alternating(8), iterated_wreath(3, 2), cyclic(256), cyclic(257)],
+        ids=["S8", "A8", "wreath-sylnorm-3-2", "C256", "C257"],
+    )
+    def test_named_groups(self, G):
+        self.assert_same_closure(G)

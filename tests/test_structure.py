@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closure_oracle import tuple_power_map
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, CapExceeded
 from cutgroups.group import DEFAULT_CAP, PermGroup, trivial_group
@@ -24,6 +25,7 @@ from cutgroups.structure import (
     abelianization_exponent_divides,
     are_conjugate,
     conjugacy_classes,
+    core_of,
     derived_subgroup,
     exponent,
     is_elementary_abelian,
@@ -141,13 +143,15 @@ def tuple_sweep_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                     members.append(z)
         reps.append(x)
         sizes.append(len(members))
-    index = {t: i for i, t in enumerate(class_of)}
+    encode = G.encoding.encode
+    index = {encode(t): i for i, t in enumerate(class_of)}
     return ClassTable(G, reps, sizes, index, list(class_of.values()))
 
 
 def class_map(T: ClassTable) -> dict[tuple[int, ...], int]:
     """The class of every element of T's group, keyed by image tuple."""
-    return {t: T.classes[i] for t, i in T.index.items()}
+    decode = T.group.encoding.decode
+    return {decode(w): T.classes[i] for w, i in T.index.items()}
 
 
 @st.composite
@@ -283,11 +287,16 @@ class TestIndexSweepAgainstTupleSweep:
         G = alternating(4)
         T = conjugacy_classes(G)
         members = [e.images for e in G.elements()]
-        assert list(T.index) == members and len(T.classes) == 12
+        assert list(map(G.encoding.decode, T.index)) == members and len(T.classes) == 12
         odd = parse_permutation("(1 2)", 4)
-        assert odd.images not in T.index
+        assert G.encoding.encode(odd.images) not in T.index
         with pytest.raises(ValueError, match="not a member"):
             T.class_index(odd)
+
+    def test_query_above_a_byte_is_not_a_member(self):
+        T = conjugacy_classes(alternating(4))
+        with pytest.raises(ValueError, match="not a member"):
+            T.class_index(Permutation.identity(300))
 
     def test_bundled_groups(self):
         records = [
@@ -300,6 +309,49 @@ class TestIndexSweepAgainstTupleSweep:
     @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
     def test_near_cap_groups(self, G):
         self.assert_same_table(G)
+
+
+class TestPowerMapAgainstTupleWalk:
+    """The power map walks words by ``bytes.translate``; the walk on image
+    tuples it replaced, kept in tests/closure_oracle.py, is the oracle."""
+
+    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
+    def test_near_cap_groups(self, G):
+        T = conjugacy_classes(G)
+        assert (T.power_map, T.rep_orders) == tuple_power_map(T)
+
+    def test_bundled_groups(self):
+        records = parse_corpus(bundled_corpus_path())
+        groups = [r.group for r in records if r.group.order() <= 2000]
+        assert len(groups) > 100
+        for G in groups:
+            T = conjugacy_classes(G)
+            assert (T.power_map, T.rep_orders) == tuple_power_map(T), G
+
+
+class TestPermutationsHoldTuples:
+    """Every Permutation made from a closure word holds an image tuple: one
+    holding bytes never equals its tuple twin, so an order loop on it would
+    never end."""
+
+    @staticmethod
+    def made_from_words(G):
+        a = Analysis(G)
+        made = list(a.table.reps) + G.elements()
+        for p in prime_divisors(G.order()):
+            P = a.sylow(p)
+            made += P.generators
+            made += core_of(P, a.table).generators
+        return made
+
+    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
+    def test_near_cap_groups(self, G):
+        assert all(type(x.images) is tuple for x in self.made_from_words(G))
+
+    def test_bundled_groups(self):
+        for record in parse_corpus(bundled_corpus_path()):
+            made = self.made_from_words(record.group)
+            assert all(type(x.images) is tuple for x in made), record.id
 
 
 class TestAreConjugate:
