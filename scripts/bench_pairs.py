@@ -6,9 +6,11 @@
 For every workload of BENCHMARK.json, each pair runs ``perfbench/run.py
 --trace 0`` for the benchmark's ``run_seconds`` once on the parent revision
 and once on the change, with the same seed; pair i uses seed ``--first-seed + i``, and odd pairs run the
-change first.  The parent side runs in the parent's committed files,
-extracted with ``git archive`` into a temporary directory that is removed
-afterwards.  The change side runs in this checkout's working tree.
+change first.  Both sides run from a temporary directory that is removed
+afterwards, extracted the same way with ``git archive``: the parent side from
+the parent's committed files, the change side from the tracked files of this
+checkout's working tree (a ``git stash create`` commit, or HEAD when they
+are clean).  Untracked files are not part of the change side.
 
 The output holds every run's last-line JSON plus its figure lines, and per
 end-to-end metric a summary of the pairs: medians and quartiles of both
@@ -154,15 +156,19 @@ def main(argv=None) -> int:
         "workloads": {},
         "notes": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
+        parent_dir, change_dir = Path(parent_tmp), Path(change_tmp)
         extract(args.parent, parent_dir)
+        # a commit of the tracked files that moves no ref and touches no file;
+        # git prints nothing when they equal HEAD
+        extract(git("stash", "create") or "HEAD", change_dir)
         for workload in names:
             pairs: list[dict] = []
             record["workloads"][workload] = {"summary": {}, "pairs": pairs}
             for i in range(args.pairs):
                 seed = args.first_seed + i
-                sides = [("parent", parent_dir), ("change", ROOT)]
+                sides = [("parent", parent_dir), ("change", change_dir)]
                 if i % 2:
                     sides.reverse()
                 pair = {"pair": i, "seed": seed}

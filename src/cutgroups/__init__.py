@@ -34,10 +34,8 @@ from .group import DEFAULT_CAP, PermGroup
 from .structure import (
     ClassTable,
     abelianization_exponent_divides,
-    are_conjugate,
     conjugacy_classes,
     derived_subgroup,
-    exponent,
     is_elementary_abelian,
     is_solvable,
     p_core,
@@ -57,12 +55,9 @@ from .rationality import (
     classify_class,
     conjecture_suite,
     group_rationality,
-    is_cut_bruteforce,
-    lemma61_check,
     qg_degree,
     qg_degree_alternating,
     residues_coprime,
-    sylow3_check,
 )
 from .constructions import (
     abelian,

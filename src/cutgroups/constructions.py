@@ -184,10 +184,10 @@ def sylnorm(p: int) -> PermGroup:
     """Normalizer of a Sylow p-subgroup in the symmetric group of degree p:
     the Frobenius group of order p(p-1), generated on Z/p by the p-cycle
     i -> i+1 and the multiplication by the least primitive root."""
+    if p > 13:  # before the trial division, which a huge p would stall
+        raise BadParam(f"sylnorm supports p <= 13, got {p}")
     if not is_prime(p):
         raise BadParam(f"sylnorm needs a prime, got {p}")
-    if p > 13:
-        raise BadParam(f"sylnorm supports p <= 13, got {p}")
     cycle = Permutation([(i + 1) % p for i in range(p)])
     if p == 2:
         return PermGroup(2, [cycle])
@@ -204,7 +204,10 @@ def iterated_wreath(p: int, k: int) -> PermGroup:
     """Tower W_1 = sylnorm(p), W_(i+1) = sylnorm(p) wr W_i, of degree p**k."""
     if k < 1:
         raise BadParam(f"iterated wreath depth must be >= 1, got {k}")
-    if p ** k > MAX_DEGREE:
+    # |p| >= 2 passes MAX_DEGREE by the exponent MAX_DEGREE.bit_length(), so a
+    # larger k is cut down to it, keeping k's parity for the sign of a negative p
+    top = MAX_DEGREE.bit_length()
+    if p ** min(k, top + (k - top) % 2) > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {p}**{k} exceeds {MAX_DEGREE}")
     W = sylnorm(p)
     base = sylnorm(p)

@@ -23,7 +23,6 @@ from typing import Callable, ClassVar, Iterable
 from .alternating import alternating_classes, alternating_power_conjugate
 from .errors import BoundExceeded
 from .group import DEFAULT_CAP, PermGroup
-from .perm import invert_images
 from .structure import (
     ClassTable,
     _sylow,
@@ -56,9 +55,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ClassRationality:
-    """Per-class verdicts and the degree of the class's column field."""
+    """Per-class verdicts and the degree of the class's column field, shared
+    by every class of one Galois orbit."""
 
-    class_index: int
     element_order: int
     stabilizer: tuple[int, ...]  # residues k mod order with rep**k ~ rep
     is_rational: bool
@@ -70,7 +69,6 @@ class ClassRationality:
 
     def as_dict(self) -> dict:
         return {
-            "class_index": self.class_index,
             "element_order": self.element_order,
             "stabilizer": list(self.stabilizer),
             "rational": self.is_rational,
@@ -113,7 +111,10 @@ class GroupReport:
     def as_dict(self) -> dict:
         return {
             **self.summary(),
-            "classes": [r.as_dict() for r in self.class_reports],
+            "classes": [
+                {"class_index": c, **r.as_dict()}
+                for c, r in enumerate(self.class_reports)
+            ],
             "checks": {name: r.as_dict() for name, r in self.check_results.items()},
         }
 
@@ -169,7 +170,6 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
     is_real = o <= 2 or (o - 1) in stab
     inverse_closure = stab | {_norm_residue((o - 1) * s, o) for s in stab}
     return ClassRationality(
-        class_index=c,
         element_order=o,
         stabilizer=tuple(sorted(stab)),
         is_rational=len(stab) == len(units),
@@ -213,7 +213,7 @@ class Analysis:
         """classify_class of every class, computed once per Galois orbit.
         A class d = row[k] with k a unit mod the order o of class c has
         the same order and stabilizer as c, as the unit group is abelian,
-        so it gets c's verdicts under its own index."""
+        so it holds c's verdict object."""
         table = self.table
         out: list[ClassRationality | None] = [None] * len(table)
         for c, row in enumerate(table.power_map):
@@ -222,9 +222,7 @@ class Analysis:
             r = out[c] = classify_class(table, c)
             o = r.element_order
             for k in _units(o):
-                d = row[k % o]
-                if out[d] is None:
-                    out[d] = replace(r, class_index=d)
+                out[row[k % o]] = r
         return out
 
     @cached_property
@@ -287,26 +285,6 @@ def qg_degree(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
     mod L maps the units mod exp(G) onto the units mod L with fibres of one
     size, so this is the index in the units mod exp(G)."""
     return Analysis(G, cap).qg_degree
-
-
-def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
-    """The definition verdict, element by element, with no class-table
-    shortcuts: for every x and every k coprime to its order, search the full
-    enumeration for a conjugate of x**k equal to x or x⁻¹.
-
-    Exists solely as a cross-oracle for group_rationality().is_cut.
-    """
-    elems = G.elements(cap)
-    for x in elems:
-        o = x.order()
-        if o <= 2:
-            continue
-        conjugates = {x.conjugate_by(g).images for g in elems}
-        targets = conjugates | {invert_images(im) for im in conjugates}
-        for k in range(2, o):
-            if math.gcd(k, o) == 1 and (x ** k).images not in targets:
-                return False
-    return True
 
 
 def qg_degree_alternating(n: int) -> int:
@@ -425,6 +403,9 @@ def _q3(a: Analysis) -> CheckResult:
 
 @_check("sylow3", "cut", unmet="group is not cut")
 def _sylow3(a: Analysis) -> CheckResult:
+    """Is the Sylow 3-subgroup of a cut group itself cut?  A FAIL is a
+    potential counterexample to an open question and carries the witness
+    subgroup's generators."""
     P = a.sylow(3)
     if a.sylow_analysis(3).report.is_cut:
         return CheckResult(PASS, f"Sylow 3-subgroup of order {P.order()} is cut")
@@ -438,6 +419,10 @@ def _sylow3(a: Analysis) -> CheckResult:
 
 @_check("lemma61")
 def _lemma61(a: Analysis) -> CheckResult:
+    """A class of 3-elements is inverse semi-rational in G iff some member in
+    a Sylow 3-subgroup P is so in P (not every member need be), each class
+    of P mapped to its class in G by G's class table.  This is a theorem: a
+    FAIL means an implementation bug, not a discovery."""
     table = a.table
     three_classes = [
         c for c, o in enumerate(table.rep_orders) if o > 1 and _is_power_of(o, 3)
@@ -464,23 +449,6 @@ def _lemma61(a: Analysis) -> CheckResult:
     return CheckResult(
         PASS, f"{checked} elements of 3-power order agree with the Sylow verdict"
     )
-
-
-def sylow3_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
-    """Is the Sylow 3-subgroup of a cut group itself cut?
-
-    A FAIL is a potential counterexample to an open question and carries the
-    witness subgroup's generators.
-    """
-    return CHECKS["sylow3"](Analysis(G, cap))
-
-
-def lemma61_check(G: PermGroup, cap: int = DEFAULT_CAP) -> CheckResult:
-    """A class of 3-elements is inverse semi-rational in G iff some member in
-    a Sylow 3-subgroup P is so in P (not every member need be), each class
-    of P mapped to its class in G by G's class table.  This is a theorem: a
-    FAIL means an implementation bug, not a discovery."""
-    return CHECKS["lemma61"](Analysis(G, cap))
 
 
 def conjecture_suite(G: PermGroup, cap: int = DEFAULT_CAP) -> dict[str, CheckResult]:

@@ -203,15 +203,6 @@ def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
     return actions
 
 
-def are_conjugate(
-    G: PermGroup, x: Permutation, y: Permutation, cap: int = DEFAULT_CAP
-) -> bool:
-    """Builds G's class table on every call; to test many pairs, build it
-    once with conjugacy_classes and compare class_index values."""
-    table = conjugacy_classes(G, cap)
-    return table.class_index(x) == table.class_index(y)
-
-
 def _normalizes(g: Permutation, H: PermGroup) -> bool:
     """g normalizes H iff every generator of H conjugates into H (the
     conjugate subgroup has the same order, so containment forces equality)."""
@@ -360,14 +351,6 @@ def is_solvable(G: PermGroup) -> bool:
             return False
         current = D
     return current.order() == 1
-
-
-def exponent(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
-    """lcm of element orders over the enumeration."""
-    out = 1
-    for e in G.elements(cap):
-        out = math.lcm(out, e.order())
-    return out
 
 
 def is_elementary_abelian(H: PermGroup, p: int) -> bool:

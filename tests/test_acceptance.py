@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import exponent, is_cut_bruteforce
 from cutgroups.corpus import (
     SurveyConfig,
     bundled_corpus_path,
@@ -23,13 +24,11 @@ from cutgroups.group import PermGroup
 from cutgroups.rationality import (
     classify_class,
     group_rationality,
-    is_cut_bruteforce,
     qg_degree,
     qg_degree_alternating,
 )
 from cutgroups.structure import (
     conjugacy_classes,
-    exponent,
     is_solvable,
     p_core,
     sylow,

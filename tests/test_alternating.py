@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from oracles import are_conjugate, exponent
 from cutgroups.alternating import (
     alternating_classes,
     alternating_exponent,
     alternating_power_conjugate,
 )
 from cutgroups.errors import NotCoprime
-from cutgroups.structure import are_conjugate, conjugacy_classes, exponent
+from cutgroups.structure import conjugacy_classes
 from cutgroups.constructions import alternating
 from cutgroups.rationality import residues_coprime
 

@@ -43,6 +43,16 @@ class TestAnalyze:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("sylnorm:100000000000000000039", "sylnorm supports p <= 13"),
+        ("wreath-sylnorm:13:3000000", "degree 13**3000000 exceeds"),
+    ])
+    def test_huge_family_parameter_exits_2(self, spec, message, capsys):
+        code, out, err = run_cli(["analyze", "--family", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
             ["analyze", "--family", "wreath-sylnorm:5:2", "--cap", "1000"], capsys

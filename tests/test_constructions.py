@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
+from oracles import exponent, is_cut_bruteforce
 from test_structure import normalizer
+from cutgroups import constructions
 from cutgroups.errors import BadParam, DegreeTooLarge
 from cutgroups.group import MAX_DEGREE, trivial_group
-from cutgroups.rationality import group_rationality, is_cut_bruteforce
-from cutgroups.structure import exponent, is_solvable, sylow
+from cutgroups.rationality import group_rationality
+from cutgroups.structure import is_solvable, sylow
 from cutgroups.constructions import (
     abelian,
     alternating,
@@ -211,6 +214,11 @@ class TestSylnorm:
         with pytest.raises(BadParam):
             sylnorm(17)
 
+    def test_huge_p_refused_by_the_bound_before_primality(self):
+        # trial division up to the square root of this prime would not end
+        with pytest.raises(BadParam, match=r"supports p <= 13, got 100000000000000000039"):
+            sylnorm(10 ** 20 + 39)
+
 
 class TestIteratedWreath:
     def test_depth_one(self):
@@ -232,6 +240,41 @@ class TestIteratedWreath:
     def test_degree_cap(self):
         with pytest.raises(DegreeTooLarge):
             iterated_wreath(7, 8)
+
+    def test_degree_verdict_is_the_power_verdict(self, monkeypatch):
+        # a spec that passes the degree bound goes on to sylnorm(p), which is
+        # stubbed here so that no tower is built
+        class PastTheBound(Exception):
+            pass
+
+        def past(p):
+            raise PastTheBound
+
+        monkeypatch.setattr(constructions, "sylnorm", past)
+        for p in range(-3, 15):
+            for k in range(1, 26):
+                try:
+                    iterated_wreath(p, k)
+                except DegreeTooLarge as exc:
+                    assert str(exc) == f"degree {p}**{k} exceeds {MAX_DEGREE}"
+                    refused = True
+                except PastTheBound:
+                    refused = False
+                assert refused == (p ** k > MAX_DEGREE), (p, k)
+
+    @pytest.mark.parametrize("spec", [
+        "wreath-sylnorm:13:3000000", "wreath-sylnorm:1000003:1000000",
+    ])
+    def test_large_depth_refused_without_the_power(self, spec):
+        # the power itself takes megabytes: 13**3000000 is about 1.4 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegreeTooLarge, match=r"\*\*"):
+                parse_family_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestFamilySpec:

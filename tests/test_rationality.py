@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exponent, is_cut_bruteforce
 from cutgroups.alternating import alternating_classes, alternating_power_conjugate
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BoundExceeded
@@ -25,14 +26,11 @@ from cutgroups.rationality import (
     classify_class,
     conjecture_suite,
     group_rationality,
-    is_cut_bruteforce,
-    lemma61_check,
     qg_degree,
     qg_degree_alternating,
     residues_coprime,
-    sylow3_check,
 )
-from cutgroups.structure import conjugacy_classes, exponent
+from cutgroups.structure import conjugacy_classes
 from cutgroups.constructions import (
     abelian,
     alternating,
@@ -236,24 +234,24 @@ class TestAbelianClassification:
 
 class TestSylow3Check:
     def test_s3_passes(self):
-        assert sylow3_check(symmetric(3)).status == PASS
+        assert CHECKS["sylow3"](Analysis(symmetric(3))).status == PASS
 
     def test_c5_skipped(self):
-        r = sylow3_check(cyclic(5))
+        r = CHECKS["sylow3"](Analysis(cyclic(5)))
         assert r.status == SKIP
 
     def test_three_prime_group_passes_trivially(self):
         # cut group with no 3-part: the trivial Sylow 3-subgroup is cut
-        assert sylow3_check(cyclic(4)).status == PASS
+        assert CHECKS["sylow3"](Analysis(cyclic(4))).status == PASS
 
 
 class TestLemma61Check:
     def test_vacuous_without_three_elements(self):
-        r = lemma61_check(cyclic(4))
+        r = CHECKS["lemma61"](Analysis(cyclic(4)))
         assert r.status == PASS and "vacuous" in r.detail
 
     def test_s3(self):
-        assert lemma61_check(symmetric(3)).status == PASS
+        assert CHECKS["lemma61"](Analysis(symmetric(3))).status == PASS
 
     @pytest.mark.parametrize(
         "G", [symmetric(4), dicyclic(3), alternating(4), sylnorm(3),
@@ -261,7 +259,7 @@ class TestLemma61Check:
         ids=["S4", "Dic3", "A4", "F6", "S3xS3", "A5"],
     )
     def test_theorem_holds(self, G):
-        assert lemma61_check(G).status == PASS
+        assert CHECKS["lemma61"](Analysis(G)).status == PASS
 
 
     def test_members_of_one_class_differ_in_p(self):
@@ -484,6 +482,26 @@ class TestClassesPerGaloisOrbit:
         classes = Analysis(cyclic(12)).classes
         assert len(classes) == 12
         assert len(calls) == len({r.element_order for r in classes}) == 6
+
+    @pytest.mark.parametrize(
+        "G",
+        [pytest.param(symmetric(8), id="S8"), pytest.param(alternating(8), id="A8")]
+        + [pytest.param(r.group, id=r.id) for r in parse_corpus(bundled_corpus_path())],
+    )
+    def test_an_orbit_shares_one_verdict_and_reports_number_classes(self, G):
+        analysis = Analysis(G)
+        table, classes = analysis.table, analysis.classes
+        orbits = {
+            frozenset(row[k % o] for k in residues_coprime(o))
+            for row, o in zip(table.power_map, table.rep_orders)
+        }
+        for orbit in orbits:
+            leader = classes[min(orbit)]
+            assert all(classes[d] is leader for d in orbit)
+        assert len({id(r) for r in classes}) == len(orbits)
+        report = analysis.report.as_dict()["classes"]
+        for c, r in enumerate(classes):
+            assert report[c] == {"class_index": c, **r.as_dict()}
 
 
 # Oracles for the field-degree kernel: the two exponent-wide loops it

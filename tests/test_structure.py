@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_oracle import tuple_power_map
+from oracles import are_conjugate, exponent
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, CapExceeded
 from cutgroups.group import DEFAULT_CAP, PermGroup, trivial_group
@@ -23,11 +24,9 @@ from cutgroups.rationality import Analysis
 from cutgroups.structure import (
     ClassTable,
     abelianization_exponent_divides,
-    are_conjugate,
     conjugacy_classes,
     core_of,
     derived_subgroup,
-    exponent,
     is_elementary_abelian,
     is_solvable,
     p_core,
