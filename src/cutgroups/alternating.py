@@ -5,9 +5,11 @@ A_n-classes ("splits") exactly when all its parts are odd and pairwise
 distinct; otherwise the centralizer of a representative contains an odd
 permutation and the full S_n-class is a single A_n-class.
 
-For split types, whether rep**k is A_n-conjugate to rep is decided by the
-parity of the canonical S_n-conjugator matching the cycles of rep**k onto
-the cycles of rep.
+For a split type with parts l, rep**k is A_n-conjugate to rep exactly when
+the Jacobi symbols (k/l) multiply to 1: on each l-cycle the conjugator is
+i -> i·k⁻¹ mod l, whose sign is (k/l) (Zolotarev's lemma, extended by
+Frobenius to odd composite l), and the centralizer of rep, a product of
+odd cycles, is even.
 """
 
 from __future__ import annotations
@@ -24,11 +26,21 @@ class AltClassDescriptor:
     n: int
     cycle_type: tuple[int, ...]  # partition of n, decreasing
     splits: bool
-    rep: Permutation
 
     @property
     def rep_order(self) -> int:
         return math.lcm(*self.cycle_type)
+
+    @property
+    def rep(self) -> Permutation:
+        """Cycles on consecutive points, longest part first."""
+        images = list(range(self.n))
+        start = 0
+        for length in self.cycle_type:
+            for i in range(length):
+                images[start + i] = start + (i + 1) % length
+            start += length
+        return Permutation(images)
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -47,17 +59,6 @@ def _type_is_even(parts: tuple[int, ...]) -> bool:
     return sum(length - 1 for length in parts) % 2 == 0
 
 
-def _canonical_rep(parts: tuple[int, ...], n: int) -> Permutation:
-    """Cycles on consecutive points, longest part first."""
-    images = list(range(n))
-    start = 0
-    for length in parts:
-        for i in range(length):
-            images[start + i] = start + (i + 1) % length
-        start += length
-    return Permutation(images)
-
-
 def alternating_classes(n: int) -> list[AltClassDescriptor]:
     """One descriptor per even-parity cycle type of degree n (n >= 3)."""
     if n < 3:
@@ -67,46 +68,36 @@ def alternating_classes(n: int) -> list[AltClassDescriptor]:
         if not _type_is_even(parts):
             continue
         splits = all(p % 2 == 1 for p in parts) and len(set(parts)) == len(parts)
-        out.append(
-            AltClassDescriptor(
-                n=n, cycle_type=parts, splits=splits, rep=_canonical_rep(parts, n)
-            )
-        )
+        out.append(AltClassDescriptor(n=n, cycle_type=parts, splits=splits))
     return out
 
 
-def _cycles_canonical(p: Permutation) -> list[tuple[int, ...]]:
-    """All cycles including fixed points, each starting at its least point,
-    longest first (ties by least point)."""
-    cycles = list(p.cycles())
-    moved = {point for c in cycles for point in c}
-    cycles.extend((i,) for i in range(p.degree) if i not in moved)
-    cycles.sort(key=lambda c: (-len(c), c[0]))
-    return cycles
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m > 0, by quadratic reciprocity."""
+    a %= m
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == m % 4 == 3:
+            sign = -sign
+        a, m = m % a, a
+    return sign if m == 1 else 0
 
 
 def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
     """True iff rep**k is A_n-conjugate to rep, for gcd(k, order) = 1.
 
-    Non-split types are immediate (an odd centralizing element exists).  For
-    split types, build the canonical conjugator sigma mapping the cycles of
-    rep**k onto the cycles of rep and return its parity.
+    Non-split types are immediate (an odd centralizing element exists); a
+    split type asks the Jacobi symbols of k over its parts (module
+    docstring).
     """
     order = d.rep_order
     if math.gcd(k, order) != 1:
         raise NotCoprime(f"k={k} shares a factor with the element order {order}")
-    if not d.splits:
-        return True
-    rep = d.rep
-    target_cycles = _cycles_canonical(rep)
-    power_cycles = _cycles_canonical(rep ** k)
-    # split type: parts are distinct, so cycles match up by length alone
-    images = list(range(d.n))
-    for pc, tc in zip(power_cycles, target_cycles):
-        for a, b in zip(pc, tc):
-            images[a] = b
-    sigma = Permutation(images)
-    return sigma.is_even()
+    return not d.splits or math.prod(_jacobi(k, l) for l in d.cycle_type) == 1
 
 
 def alternating_exponent(n: int) -> int:

@@ -216,20 +216,36 @@ def iterated_wreath(p: int, k: int) -> PermGroup:
     return W
 
 
+def _int(text: str) -> int:
+    """int(text), except that a signed run of decimal digits too long for
+    int() is out of range, reported by its length, not its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if digits.isdecimal():
+            raise BadParam(
+                f"integer parameter of {len(digits)} digits is out of range"
+            ) from None
+        raise
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    return [_int(x) for x in text.split(",")]
 
 
 # family -> (builder, one parser per parameter)
 FAMILIES = {
-    "cyclic": (cyclic, (int,)),
+    "cyclic": (cyclic, (_int,)),
     "abelian": (abelian, (_int_list,)),
-    "dihedral": (dihedral, (int,)),
-    "dicyclic": (dicyclic, (int,)),
-    "symmetric": (symmetric, (int,)),
-    "alternating": (alternating, (int,)),
-    "sylnorm": (sylnorm, (int,)),
-    "wreath-sylnorm": (iterated_wreath, (int, int)),
+    "dihedral": (dihedral, (_int,)),
+    "dicyclic": (dicyclic, (_int,)),
+    "symmetric": (symmetric, (_int,)),
+    "alternating": (alternating, (_int,)),
+    "sylnorm": (sylnorm, (_int,)),
+    "wreath-sylnorm": (iterated_wreath, (_int, _int)),
 }
 
 

@@ -237,6 +237,8 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     An element's order is its class rep's, so the scans skip p'-elements by
     a lookup and wrap as Permutations only the elements they test.
     """
+    if not is_prime(p):
+        raise BadParam(f"p must be prime, got {p}")
     G = table.group
     target = p_part(G.order(), p)
     index, classes = table.index, table.classes

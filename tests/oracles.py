@@ -4,12 +4,18 @@
 ``exponent`` is the lcm of the element orders over the enumeration;
 ``are_conjugate`` asks a class table built for the one pair.  The package
 reads each of these facts off the class table instead.
+
+``alternating_power_conjugate`` decides a split class of A_n by building
+the conjugator from rep**k to rep and taking its parity; the package reads
+the same answer off the Jacobi symbols of k over the cycle lengths.
 """
 
 from __future__ import annotations
 
 import math
 
+from cutgroups.alternating import AltClassDescriptor
+from cutgroups.errors import NotCoprime
 from cutgroups.group import DEFAULT_CAP, PermGroup
 from cutgroups.perm import Permutation, invert_images
 from cutgroups.structure import conjugacy_classes
@@ -50,3 +56,37 @@ def are_conjugate(
     once with conjugacy_classes and compare class_index values."""
     table = conjugacy_classes(G, cap)
     return table.class_index(x) == table.class_index(y)
+
+
+def _cycles_canonical(p: Permutation) -> list[tuple[int, ...]]:
+    """All cycles including fixed points, each starting at its least point,
+    longest first (ties by least point)."""
+    cycles = list(p.cycles())
+    moved = {point for c in cycles for point in c}
+    cycles.extend((i,) for i in range(p.degree) if i not in moved)
+    cycles.sort(key=lambda c: (-len(c), c[0]))
+    return cycles
+
+
+def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
+    """True iff rep**k is A_n-conjugate to rep, for gcd(k, order) = 1.
+
+    Non-split types are immediate (an odd centralizing element exists).  For
+    split types, build the canonical conjugator sigma mapping the cycles of
+    rep**k onto the cycles of rep and return its parity.
+    """
+    order = d.rep_order
+    if math.gcd(k, order) != 1:
+        raise NotCoprime(f"k={k} shares a factor with the element order {order}")
+    if not d.splits:
+        return True
+    rep = d.rep
+    target_cycles = _cycles_canonical(rep)
+    power_cycles = _cycles_canonical(rep ** k)
+    # split type: parts are distinct, so cycles match up by length alone
+    images = list(range(d.n))
+    for pc, tc in zip(power_cycles, target_cycles):
+        for a, b in zip(pc, tc):
+            images[a] = b
+    sigma = Permutation(images)
+    return sigma.is_even()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,22 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:" + "1" * 5000, "abelian:2," + "1" * 5000, "cyclic:-" + "1" * 5000,
+    ], ids=["cyclic", "abelian", "signed"])
+    def test_too_long_integer_parameter_is_out_of_range(self, spec, capsys):
+        # int() refuses more than 4300 digits; the digits are not echoed
+        code, out, err = run_cli(["analyze", "--family", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err == "cutgroups: integer parameter of 5000 digits is out of range\n"
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("spec", ["cyclic:12x", "cyclic:+-1", "abelian:2,3x"])
+    def test_non_integer_parameter_is_echoed(self, spec, capsys):
+        code, out, err = run_cli(["analyze", "--family", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"cutgroups: non-integer parameter in {spec!r}\n"
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
@@ -465,6 +482,25 @@ class TestAnFields:
         )
         assert (code, err) == (0, "")
         assert out == "n,exponent,qg_degree\n4,6,2\n5,30,2\n6,60,2\n"
+
+
+class TestStoredOutputs:
+    """The benchmark's stored analyze and an-fields outputs, byte for byte;
+    test_criterion_14 holds the stored survey report."""
+
+    EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("an-fields-14.json", ["an-fields", "--max-n", "14", "--format", "json"]),
+        ("analyze-symmetric-8.json",
+         ["analyze", "--family", "symmetric:8", "--format", "json"]),
+        ("analyze-alternating-8.json",
+         ["analyze", "--family", "alternating:8", "--format", "json"]),
+    ], ids=["an-fields-14", "analyze-symmetric-8", "analyze-alternating-8"])
+    def test_output_equals_the_stored_file(self, name, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (self.EXPECTED / name).read_bytes()
 
 
 class TestConsoleScript:

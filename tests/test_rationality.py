@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import exponent, is_cut_bruteforce
 from cutgroups.alternating import alternating_classes, alternating_power_conjugate
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
-from cutgroups.errors import BoundExceeded
+from cutgroups.errors import BadParam, BoundExceeded
 from cutgroups.group import PermGroup
 from cutgroups.perm import Permutation, invert_images, parse_permutation, then_images
 from cutgroups import rationality
@@ -420,6 +420,15 @@ def test_each_fact_is_computed_once(monkeypatch):
     assert all(H is G for H, _ in sylow_calls)
     assert sorted(p for _, p in sylow_calls) == [3, 5, 7]
     assert sum(H is G for H in table_groups) == 1
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, -3])
+@pytest.mark.parametrize("fact", ["sylow", "sylow_analysis", "p_core"])
+def test_analysis_rejects_a_p_that_is_not_prime(fact, p):
+    # unchecked, p = 4 gives S4 a "Sylow" subgroup of order 4, p = 0 divides
+    # by zero and p = 1 never ends the p-part loop
+    with pytest.raises(BadParam, match=f"p must be prime, got {p}$"):
+        getattr(Analysis(symmetric(4)), fact)(p)
 
 
 @pytest.mark.parametrize("G", [symmetric(4), cyclic(12)], ids=["S4", "C12"])
