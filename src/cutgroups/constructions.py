@@ -9,7 +9,7 @@ the degree at p**k.
 
 from __future__ import annotations
 
-from .errors import BadParam, DegreeTooLarge
+from .errors import BadParam, DegreeTooLarge, brief
 from .group import MAX_DEGREE, PermGroup
 from .perm import Permutation
 from .structure import is_prime, prime_divisors
@@ -18,12 +18,12 @@ from .structure import is_prime, prime_divisors
 def _bound_degree(family: str, degree: int) -> None:
     """Refuse a family before any permutation of ``degree`` points is built."""
     if degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"{family} degree {degree} exceeds {MAX_DEGREE}")
+        raise DegreeTooLarge(f"{family} degree {brief(degree)} exceeds {MAX_DEGREE}")
 
 
 def cyclic(n: int) -> PermGroup:
     if n < 1:
-        raise BadParam(f"cyclic group needs n >= 1, got {n}")
+        raise BadParam(f"cyclic group needs n >= 1, got {brief(n)}")
     _bound_degree("cyclic", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)])
@@ -35,7 +35,7 @@ def abelian(invariant_factors: list[int]) -> PermGroup:
     """Direct product of cyclic groups on the disjoint union of points."""
     for f in invariant_factors:
         if f < 2:
-            raise BadParam(f"invariant factors must be >= 2, got {f}")
+            raise BadParam(f"invariant factors must be >= 2, got {brief(f)}")
     if not invariant_factors:
         return PermGroup(1, [Permutation.identity(1)])
     degree = sum(invariant_factors)
@@ -54,7 +54,7 @@ def abelian(invariant_factors: list[int]) -> PermGroup:
 def dihedral(n: int) -> PermGroup:
     """Dihedral group of order 2n acting on the n-gon's vertices."""
     if n < 3:
-        raise BadParam(f"dihedral group needs n >= 3, got {n}")
+        raise BadParam(f"dihedral group needs n >= 3, got {brief(n)}")
     _bound_degree("dihedral", n)
     rotation = Permutation([(i + 1) % n for i in range(n)])
     reflection = Permutation([(-i) % n for i in range(n)])
@@ -65,7 +65,7 @@ def dicyclic(m: int) -> PermGroup:
     """Dicyclic group of order 4m (quaternion Q_8 for m = 2) via its regular
     action: a has order 2m, b² = a^m and b a b⁻¹ = a⁻¹."""
     if m < 2:
-        raise BadParam(f"dicyclic group needs m >= 2, got {m}")
+        raise BadParam(f"dicyclic group needs m >= 2, got {brief(m)}")
     size = 4 * m
     _bound_degree("dicyclic", size)
 
@@ -86,7 +86,7 @@ def dicyclic(m: int) -> PermGroup:
 
 def symmetric(n: int) -> PermGroup:
     if n < 1:
-        raise BadParam(f"symmetric group needs n >= 1, got {n}")
+        raise BadParam(f"symmetric group needs n >= 1, got {brief(n)}")
     _bound_degree("symmetric", n)
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)])
@@ -100,7 +100,7 @@ def symmetric(n: int) -> PermGroup:
 def alternating(n: int) -> PermGroup:
     """A_n from a 3-cycle and a long even cycle (choice depends on parity)."""
     if n < 3:
-        raise BadParam(f"alternating group needs n >= 3, got {n}")
+        raise BadParam(f"alternating group needs n >= 3, got {brief(n)}")
     _bound_degree("alternating", n)
     three = Permutation.from_cycles([[1, 2, 3]], n)
     if n == 3:
@@ -136,7 +136,7 @@ def wreath(A: PermGroup, B: PermGroup) -> PermGroup:
     m, n = A.degree, B.degree
     degree = m * n
     if degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"wreath product degree {degree} too large")
+        raise DegreeTooLarge(f"wreath product degree {brief(degree)} too large")
 
     # orbits of B on the block indices
     seen = set()
@@ -203,12 +203,12 @@ def sylnorm(p: int) -> PermGroup:
 def iterated_wreath(p: int, k: int) -> PermGroup:
     """Tower W_1 = sylnorm(p), W_(i+1) = sylnorm(p) wr W_i, of degree p**k."""
     if k < 1:
-        raise BadParam(f"iterated wreath depth must be >= 1, got {k}")
+        raise BadParam(f"iterated wreath depth must be >= 1, got {brief(k)}")
     # |p| >= 2 passes MAX_DEGREE by the exponent MAX_DEGREE.bit_length(), so a
     # larger k is cut down to it, keeping k's parity for the sign of a negative p
     top = MAX_DEGREE.bit_length()
     if p ** min(k, top + (k - top) % 2) > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {p}**{k} exceeds {MAX_DEGREE}")
+        raise DegreeTooLarge(f"degree {brief(p)}**{brief(k)} exceeds {MAX_DEGREE}")
     W = sylnorm(p)
     base = sylnorm(p)
     for _ in range(k - 1):

@@ -36,6 +36,7 @@ from .errors import (
     CutgroupsError,
     DuplicateId,
     OrderMismatch,
+    brief,
 )
 from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
 from .perm import format_permutation, parse_permutation
@@ -143,17 +144,11 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
             elif key == "name":
                 current["name"] = rest
             elif key == "degree":
-                try:
-                    current["degree"] = int(rest)
-                except ValueError:
-                    raise CorpusSyntaxError(line_no, f"bad degree {rest!r}") from None
+                current["degree"] = _parse_int(line_no, key, rest)
             elif key == "gen":
                 gen_lines.append((line_no, rest))
             elif key == "order":
-                try:
-                    current["order"] = int(rest)
-                except ValueError:
-                    raise CorpusSyntaxError(line_no, f"bad order {rest!r}") from None
+                current["order"] = _parse_int(line_no, key, rest)
                 current["order_line"] = line_no
             elif key == "tags":
                 current["tags"] = [t.strip() for t in rest.split(",") if t.strip()]
@@ -167,6 +162,18 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
     return records
 
 
+def _parse_int(line_no: int, key: str, text: str) -> int:
+    """``int(text)`` for a ``degree`` or ``order`` line.  A run of digits
+    that int() refuses (past 4300 digits) is named by its length, not
+    echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        shown = f"<{len(digits)} digits>" if digits.isdecimal() else repr(text)
+        raise CorpusSyntaxError(line_no, f"bad {key} {shown}") from None
+
+
 def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupRecord:
     start = current["line"]
     if "degree" not in current:
@@ -176,7 +183,7 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
     degree = current["degree"]
     if not 1 <= degree <= MAX_DEGREE:
         raise CorpusSyntaxError(
-            start, f"degree must be in 1..{MAX_DEGREE}, got {degree}"
+            start, f"degree must be in 1..{MAX_DEGREE}, got {brief(degree)}"
         )
     gens = []
     for line_no, text in gen_lines:

@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``brief``, which their
+messages use to show a number."""
+
+import math
+
+
+def brief(n: int) -> str:
+    """An integer for a message: its digits up to 20 of them, past that
+    ``<k digits>`` after its sign, so that the refusal of a huge number
+    stays one short line.  ``str`` would refuse past 4300 digits, so k is
+    read off ``log10`` and corrected exactly."""
+    if -10 ** 20 < n < 10 ** 20:
+        return str(n)
+    size = abs(n)
+    k = int(math.log10(size)) + 1  # at most one off near a power of ten
+    k += (size >= 10 ** k) - (size < 10 ** (k - 1))
+    return f"{'-' if n < 0 else ''}<{k} digits>"
 
 
 class CutgroupsError(Exception):

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Sequence
 
 from .errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from .perm import Permutation, invert_images, then_images
+from .perm import _BYTE_POINTS, Permutation, invert_images, then_images
 
 DEFAULT_CAP = 100_000
 # Largest degree of a constructed family or a corpus record.
@@ -35,9 +35,6 @@ MAX_DEGREE = 10 ** 6
 # An element in a group's encoding (see Encoding): bytes up to degree 256,
 # an image tuple above.
 _Word = bytes | tuple[int, ...]
-# Every point a byte can hold.  At degree n the first n bytes are the
-# identity, and the rest pads an n-byte word to a translation table.
-_BYTE_POINTS = bytes(range(256))
 
 
 def _invert_bytes(g: bytes) -> bytes:
@@ -147,18 +144,22 @@ class _Chain:
 
     Elements are words in the group's ``Encoding``; only right-hand factors
     (strong generators and inverse reps) are kept as tables.  No element of
-    the chain leaves it: ``contains`` encodes its query once.  The chain
-    keeps the encoding's identity, encode and compose as its own slots, so
-    that a membership query reads them in one attribute load each.
+    the chain leaves it: ``PermGroup.contains`` encodes its query once.  The
+    chain keeps the encoding's identity, encode and compose as its own
+    slots, so that a membership query reads them in one attribute load
+    each, and ``steps`` holds one ``(point, inverses, depth)`` tuple per
+    level, ``inverses`` the level's own dict, so that a sift step loads no
+    attribute.
     """
 
-    __slots__ = ("encoding", "identity", "levels", "_encode", "_compose")
+    __slots__ = ("encoding", "identity", "levels", "steps", "_encode", "_compose")
 
     def __init__(self, encoding: Encoding, generators: Sequence[Permutation]):
         self.encoding = encoding
         self.identity = encoding.identity
         self._encode, self._compose = encoding.encode, encoding.compose
         self.levels: list[_ChainLevel] = []
+        self.steps: list[tuple[int, dict[int, _Word], int]] = []
         for g in generators:
             residue, depth = self.sift(self._encode(g.images))
             if residue != self.identity:
@@ -168,16 +169,15 @@ class _Chain:
     def sift(self, word: _Word, start: int = 0) -> tuple[_Word, int]:
         """Sift a word down from level ``start``; returns the residue and
         the depth where it stopped (``len(levels)`` when it passed all)."""
-        levels, compose = self.levels, self._compose
-        for depth in range(start, len(levels)):
-            level = levels[depth]
-            beta = word[level.point]
-            if beta != level.point:
-                inverse = level.inverses.get(beta)
+        steps, compose = self.steps, self._compose
+        for point, inverses, depth in steps[start:] if start else steps:
+            beta = word[point]
+            if beta != point:
+                inverse = inverses.get(beta)
                 if inverse is None:
                     return word, depth
                 word = compose(word, inverse)
-        return word, len(levels)
+        return word, len(steps)
 
     def _insert(self, g: _Word, start: int, depth: int) -> None:
         """g fixes the base points above ``depth``: it is a new strong
@@ -187,7 +187,9 @@ class _Chain:
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
             table = encoding.table(self.identity)
-            self.levels.append(_ChainLevel(point, self.identity, table))
+            level = _ChainLevel(point, self.identity, table)
+            self.levels.append(level)
+            self.steps.append((point, level.inverses, depth))
         g_table, g_inv = encoding.table(g), encoding.invert(g)
         for level in self.levels[start : depth + 1]:
             level.extend(g_table, g_inv, encoding)
@@ -215,9 +217,6 @@ class _Chain:
 
     def order(self) -> int:
         return math.prod(len(level.reps) for level in self.levels)
-
-    def contains(self, images: tuple[int, ...]) -> bool:
-        return self.sift(self._encode(images))[0] == self.identity
 
     def base_points(self) -> list[int]:
         return [level.point for level in self.levels]
@@ -315,7 +314,8 @@ class PermGroup:
             raise DegreeMismatch(
                 f"permutation degree {p.degree} != group degree {self.degree}"
             )
-        return self._built_chain().contains(p.images)
+        chain = self._chain or self._built_chain()
+        return chain.sift(chain._encode(p.images))[0] == chain.identity
 
     def closure(
         self, cap: int = DEFAULT_CAP

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import re
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch, MalformedCycle, PointOutOfRange, RepeatedPoint
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _TOKEN_RE = re.compile(r"^\s*(?:\([^()]*\)\s*)+$")
+# Every point a byte can hold.  At degree n the first n bytes are the
+# identity, and the rest pads an n-byte word to a translation table.
+_BYTE_POINTS = bytes(range(256))
 
 
 class Permutation:
@@ -29,9 +32,22 @@ class Permutation:
     __slots__ = ("_images", "_order")
 
     def __init__(self, images: Sequence[int]):
+        """Validate the 0-based images: every point an integer, each of
+        0..n-1 exactly once.  Up to 256 points that is two C calls: ``bytes``
+        refuses a non-integer or a point above 255, and deleting the image
+        bytes from the n-byte identity leaves nothing only if all n points
+        occur among the n images.  Above 256 the points are sorted."""
         img = tuple(images)
-        if sorted(img) != list(range(len(img))):
-            raise ValueError(f"not a permutation of 0..{len(img) - 1}: {img!r}")
+        n = len(img)
+        try:
+            if n <= 256:
+                bad = _BYTE_POINTS[:n].translate(None, bytes(img))
+            else:
+                bad = sorted(map(index, img)) != list(range(n))
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise ValueError(f"not a permutation of 0..{n - 1}: {img!r}")
         self._images = img
         self._order = None
 

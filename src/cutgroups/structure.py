@@ -98,7 +98,7 @@ class ClassTable:
         group: PermGroup,
         reps: list[Permutation],
         sizes: list[int],
-        index: dict[tuple[int, ...], int],
+        index: dict[bytes | tuple[int, ...], int],
         classes: list[int],
     ):
         self.group = group

@@ -64,6 +64,24 @@ class TestAnalyze:
         assert err == "cutgroups: integer parameter of 5000 digits is out of range\n"
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("spec,message", [
+        ("cyclic:" + "1" * 4300, "cyclic degree <4300 digits> exceeds 1000000"),
+        ("cyclic:" + "1" * 21, "cyclic degree <21 digits> exceeds 1000000"),
+        ("cyclic:" + "1" * 20, "cyclic degree 11111111111111111111 exceeds 1000000"),
+        # 4·m and the sum of the factors pass the 4300 digits str() accepts
+        ("dicyclic:" + "9" * 4300, "dicyclic degree <4301 digits> exceeds 1000000"),
+        ("abelian:" + "9" * 4300 + "," + "9" * 4300,
+         "abelian degree <4301 digits> exceeds 1000000"),
+        ("dihedral:-" + "1" * 4300, "dihedral group needs n >= 3, got -<4300 digits>"),
+        ("wreath-sylnorm:3:" + "1" * 4300, "degree 3**<4300 digits> exceeds 1000000"),
+    ], ids=["cyclic", "cyclic-21", "cyclic-20", "dicyclic", "abelian", "dihedral",
+            "wreath"])
+    def test_huge_parameter_is_named_by_its_digit_count(self, spec, message, capsys):
+        code, out, err = run_cli(["analyze", "--family", spec], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"cutgroups: {message}\n"
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("spec", ["cyclic:12x", "cyclic:+-1", "abelian:2,3x"])
     def test_non_integer_parameter_is_echoed(self, spec, capsys):
         code, out, err = run_cli(["analyze", "--family", spec], capsys)
@@ -228,6 +246,20 @@ class TestSurvey:
         path.write_text("group g\ndegree x\nend\n")
         code, _, err = run_cli(["survey", "--corpus", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("degree,message", [
+        ("1" * 4300, "line 1: degree must be in 1..1000000, got <4300 digits>"),
+        ("1" * 5000, "line 2: bad degree <5000 digits>"),
+    ], ids=["range", "int-limit"])
+    def test_huge_corpus_degree_is_named_by_its_digit_count(
+        self, tmp_path, degree, message, capsys
+    ):
+        path = tmp_path / "huge.corpus"
+        path.write_text(f"group g\ndegree {degree}\ngen ()\nend\n")
+        code, out, err = run_cli(["survey", "--corpus", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"cutgroups: {message}\n"
+        assert len(err.encode()) < 200
 
     def test_missing_corpus(self, capsys):
         code, _, err = run_cli(["survey", "--corpus", "/nope.corpus"], capsys)

@@ -6,7 +6,7 @@ import pytest
 from oracles import exponent, is_cut_bruteforce
 from test_structure import normalizer
 from cutgroups import constructions
-from cutgroups.errors import BadParam, DegreeTooLarge
+from cutgroups.errors import BadParam, DegreeTooLarge, brief
 from cutgroups.group import MAX_DEGREE, trivial_group
 from cutgroups.rationality import group_rationality
 from cutgroups.structure import is_solvable, sylow
@@ -312,3 +312,16 @@ class TestFamilySpec:
     def test_degree_cap(self, spec):
         with pytest.raises(DegreeTooLarge):
             parse_family_spec(spec)
+
+
+@pytest.mark.parametrize("k", [1, 2, 20, 21, 22, 100, 4300, 4301, 4400])
+def test_brief_counts_digits_exactly(k):
+    # 10**(k-1) and 10**k - 1 are the ends of the k-digit integers, where a
+    # count read off log10 alone can be one off; str() refuses past 4300
+    for n in (10 ** (k - 1), 10 ** k - 1):
+        for signed in (n, -n):
+            shown = brief(signed)
+            if k <= 20:
+                assert shown == str(signed)
+            else:
+                assert shown == f"{'-' if signed < 0 else ''}<{k} digits>"

@@ -87,6 +87,12 @@ class TestParseCorpus:
         ("group g\ndegree 3\nwhat ever\ngen (1 2)\nend\n", "unknown keyword"),
         ("group g\ndegree 3\ngen (1 9)\nend\n", "g"),
         ("group g\ndegree 100000000\ngen ()\nend\n", "degree must be in 1..1000000"),
+        ("group g\ndegree -" + "1" * 30 + "\ngen ()\nend\n",
+         "degree must be in 1..1000000, got -<30 digits>"),
+        ("group g\ndegree " + "1" * 5000 + "\ngen ()\nend\n", "bad degree <5000 digits>"),
+        ("group g\ndegree 2\ngen (1 2)\norder " + "2" * 5000 + "\nend\n",
+         "bad order <5000 digits>"),
+        ("group g\ndegree 2\ngen (1 2)\norder 2x\nend\n", "bad order '2x'"),
     ])
     def test_syntax_errors(self, tmp_path, text, fragment):
         path = tmp_path / "syntax.corpus"

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from closure_oracle import tuple_closure
 from cutgroups import cli
 from cutgroups.corpus import bundled_corpus_path, parse_corpus, run_survey
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from cutgroups.group import PermGroup, trivial_group
+from cutgroups.group import PermGroup, _Chain, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, cyclic, iterated_wreath, symmetric
 from cutgroups.structure import conjugacy_classes, p_core
@@ -384,6 +385,34 @@ class TestChainAgainstOracle:
             assert G.order() == len(brute_closure(gens))
         for q in queries:
             assert G.contains(q) == oracle.sift(q).is_identity()
+
+
+def assert_steps_mirror_levels(chain):
+    assert len(chain.steps) == len(chain.levels)
+    for depth, (step, level) in enumerate(zip(chain.steps, chain.levels)):
+        point, inverses, step_depth = step
+        assert (point, step_depth) == (level.point, depth)
+        assert inverses is level.inverses
+
+
+class TestChainSteps:
+    """The sift walks ``steps``, one (point, inverses, depth) tuple per
+    level; the tuples hold the levels' own dicts, so an orbit that grows
+    after its level was made is seen by the sift."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generators_and_queries())
+    def test_steps_mirror_levels_after_every_insert(self, case):
+        gens, _ = case
+        insert = _Chain._insert
+
+        def checked(chain, *args):
+            insert(chain, *args)
+            assert_steps_mirror_levels(chain)
+
+        with mock.patch.object(_Chain, "_insert", checked):
+            chain = PermGroup(gens[0].degree, gens)._built_chain()
+        assert_steps_mirror_levels(chain)
 
 
 class TestChainInverses:

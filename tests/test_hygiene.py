@@ -1,11 +1,13 @@
 """Static checks on the package sources."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import cutgroups
+from cutgroups.group import PermGroup
 
 MODULES = sorted(
     p for p in Path(cutgroups.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -122,3 +124,20 @@ def test_scanner_finds_a_private_group_import():
 )
 def test_no_private_group_imports(path):
     assert private_group_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_traced_permgroup_methods_exist():
+    # the benchmark's traced runs patch each ("group", "PermGroup.x") span
+    # through PermGroup.__dict__ with no fallback, so a method folded away or
+    # renamed would end every traced run with a KeyError
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    methods = [
+        attr.split(".", 1)[1]
+        for module, attr in spans.SPAN_TARGETS
+        if module == "group" and attr.startswith("PermGroup.")
+    ]
+    assert methods
+    assert [m for m in methods if m not in PermGroup.__dict__] == []

@@ -11,6 +11,7 @@ from cutgroups.errors import (
     PointOutOfRange,
     RepeatedPoint,
 )
+from cutgroups.group import PermGroup
 from cutgroups.perm import (
     Permutation,
     commutator,
@@ -252,3 +253,58 @@ class TestTrustedKernel:
             assert type(got.images) is tuple, name
             assert sorted(got.images) == list(range(n)), name
             assert got == Permutation(list(got.images)) == Permutation(want), name
+
+
+@st.composite
+def near_permutations(draw):
+    """Integer lists of length 0-6 or 254-258, on both sides of the
+    256-point split of the validation: a permutation of 0..n-1 with up to
+    three entries replaced from -2..n+2 or 250..260, so that both verdicts
+    occur often."""
+    n = draw(st.sampled_from([*range(7), *range(254, 259)]))
+    images = draw(st.permutations(list(range(n))))
+    point = st.one_of(st.integers(-2, n + 2), st.integers(250, 260))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        images[draw(st.integers(0, n - 1))] = draw(point)
+    return images
+
+
+class TestValidation:
+    """Up to 256 points a construction is checked by ``bytes`` and one
+    ``translate``; above, by sorting; both against the sorting check that
+    guarded every degree before."""
+
+    @settings(max_examples=400)
+    @given(near_permutations())
+    def test_same_verdict_as_sorting(self, images):
+        try:
+            Permutation(images)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (sorted(images) == list(range(len(images))))
+
+    @pytest.mark.parametrize("degree", [2, 300])
+    def test_float_points_are_rejected(self, degree):
+        # accepted as equal to 1 and 0 once, and the group built on them
+        # then failed in bytes() with a TypeError
+        images = [1.0, 0.0, *range(2, degree)]
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+    @pytest.mark.parametrize("degree", [2, 300])
+    @pytest.mark.parametrize("point", [None, "1", 1.5, b"\x01"])
+    def test_non_integer_points_raise_value_error(self, degree, point):
+        with pytest.raises(ValueError):
+            Permutation([point, 0, *range(2, degree)])
+
+    @pytest.mark.parametrize("degree", [2, 300])
+    def test_bool_points_stay_accepted(self, degree):
+        p = Permutation([True, False, *range(2, degree)])
+        assert p == Permutation([1, 0, *range(2, degree)])
+        assert PermGroup(degree, [p]).order() == 2
+
+    @pytest.mark.parametrize("images", [[256], [0, 10 ** 30], list(range(1, 257))])
+    def test_points_a_byte_cannot_hold_are_rejected(self, images):
+        with pytest.raises(ValueError):
+            Permutation(images)
