@@ -30,7 +30,7 @@ from .corpus import (
     run_survey,
     write_output,
 )
-from .errors import CapExceeded, CorpusError, CutgroupsError
+from .errors import CapExceeded, CorpusError, CutgroupsError, brief, excerpt
 from .group import DEFAULT_CAP, PermGroup
 from .rationality import (
     ALTERNATING_MAX_N,
@@ -45,9 +45,11 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {excerpt(text)} of {len(text)} characters"
+        )
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {brief(value)}")
     return value
 
 

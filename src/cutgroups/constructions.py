@@ -185,7 +185,7 @@ def sylnorm(p: int) -> PermGroup:
     the Frobenius group of order p(p-1), generated on Z/p by the p-cycle
     i -> i+1 and the multiplication by the least primitive root."""
     if p > 13:  # before the trial division, which a huge p would stall
-        raise BadParam(f"sylnorm supports p <= 13, got {p}")
+        raise BadParam(f"sylnorm supports p <= 13, got {brief(p)}")
     if not is_prime(p):
         raise BadParam(f"sylnorm needs a prime, got {p}")
     cycle = Permutation([(i + 1) % p for i in range(p)])

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and ``brief``, which their
-messages use to show a number."""
+"""Exception types shared across the package, and ``brief`` and
+``excerpt``, which their messages use to show a number or any other value
+the caller gave."""
 
 import math
+import reprlib
 
 
 def brief(n: int) -> str:
@@ -15,6 +17,22 @@ def brief(n: int) -> str:
     k = int(math.log10(size)) + 1  # at most one off near a power of ten
     k += (size >= 10 ** k) - (size < 10 ** (k - 1))
     return f"{'-' if n < 0 else ''}<{k} digits>"
+
+
+class _Excerpt(reprlib.Repr):
+    """``reprlib``'s bounded repr, one level deep, with ints by ``brief``."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = 1
+
+    def repr_int(self, x: int, level: int) -> str:
+        return brief(x)
+
+
+# A value for a message: a string's ends, a sequence's first items, an
+# int's digits or digit count, so that echoing any input stays one short line.
+excerpt = _Excerpt().repr
 
 
 class CutgroupsError(Exception):

@@ -223,7 +223,7 @@ class _Chain:
 
 
 # (right, parent, edge): see PermGroup.closure
-Cayley = tuple[list[array], array, array]
+Cayley = tuple[list[list[int]], array, array]
 
 
 def _closure(
@@ -237,24 +237,25 @@ def _closure(
     tables = [encoding.table(encoding.encode(g.images)) for g in generators]
     out = [encoding.identity]
     index = {encoding.identity: 0}
-    # lists while growing (an array append costs a few list appends), then
-    # packed into arrays
+    # a column entry is the int object the index holds for that word, so a
+    # column adds one pointer per entry and no int; the tree is packed as
+    # it grows, so no position it records stays boxed
     right: list[list[int]] = [[] for _ in tables]
-    parent = [-1]
-    edge = [-1]
+    parent = array("i", [-1])
+    edge = array("i", [-1])
     steps = [(e, g, column.append) for e, (g, column) in enumerate(zip(tables, right))]
+    n = 1
     for i, p in enumerate(out):  # grows while it is walked: layer by layer
         for e, g, record in steps:
             q = compose(p, g)  # apply p, then g
-            n = len(out)
             j = index.setdefault(q, n)
             if j == n:
                 out.append(q)
                 parent.append(i)
                 edge.append(e)
+                n += 1
             record(j)
-    columns = [array("i", column) for column in right]
-    return out, index, (columns, array("i", parent), array("i", edge))
+    return out, index, (right, parent, edge)
 
 
 class PermGroup:
@@ -334,8 +335,10 @@ class PermGroup:
         ``right[e][i]`` is the index of ``words[i] · generators[e]``, and
         ``words[j] = words[parent[j]] · generators[edge[j]]`` with
         ``parent[j] < j`` (the breadth-first tree; the root, the identity,
-        has parent and edge -1).  All are ``array('i')``: a list would hold
-        a separate int object for every index above 256.
+        has parent and edge -1).  Each ``right[e]`` is a list whose entries
+        are the very int objects ``index`` holds as values, so a column
+        makes no int of its own; ``parent`` and ``edge`` are
+        ``array('i')``.
         """
         order = self.order()
         if order > cap:

@@ -17,7 +17,13 @@ import re
 from operator import index, itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DegreeMismatch, MalformedCycle, PointOutOfRange, RepeatedPoint
+from .errors import (
+    DegreeMismatch,
+    MalformedCycle,
+    PointOutOfRange,
+    RepeatedPoint,
+    excerpt,
+)
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _TOKEN_RE = re.compile(r"^\s*(?:\([^()]*\)\s*)+$")
@@ -36,7 +42,8 @@ class Permutation:
         0..n-1 exactly once.  Up to 256 points that is two C calls: ``bytes``
         refuses a non-integer or a point above 255, and deleting the image
         bytes from the n-byte identity leaves nothing only if all n points
-        occur among the n images.  Above 256 the points are sorted."""
+        occur among the n images.  Above 256 the points are sorted.  A refusal
+        shows the first few images only."""
         img = tuple(images)
         n = len(img)
         try:
@@ -47,7 +54,7 @@ class Permutation:
         except (TypeError, ValueError):
             bad = True
         if bad:
-            raise ValueError(f"not a permutation of 0..{n - 1}: {img!r}")
+            raise ValueError(f"not a permutation of 0..{n - 1}: {excerpt(img)}")
         self._images = img
         self._order = None
 

@@ -141,18 +141,21 @@ def _field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:
     """Index of the common stabilizer of all classes under k -> class(rep**k),
     given each class's (rep order o, units k mod o with rep**k in the class).
     Rational classes (every unit mod o) are dropped, and the rest are checked
-    over the units mod the lcm L of their orders.  Those units are not put
-    in the _units cache, which holds the units of class orders only.
+    over the units mod the lcm L of their orders, one condition at a time,
+    each narrowing the units that pass all before it.  A kept o is at least
+    2 and k is a unit mod L, so k % o is never 0 and is k's residue in
+    [1, o].  Those units are not put in the _units cache, which holds the
+    units of class orders only.
     """
     distinct = {(o, frozenset(stab)) for o, stab in pairs}
     conditions = [
         (o, stab) for o, stab in distinct if len(stab) < len(_units(o))
     ]
     units = residues_coprime(math.lcm(*(o for o, _ in conditions)))
-    fixed = sum(
-        all(_norm_residue(k, o) in stab for o, stab in conditions) for k in units
-    )
-    return len(units) // fixed
+    fixed = units
+    for o, stab in conditions:
+        fixed = [k for k in fixed if k % o in stab]
+    return len(units) // len(fixed)
 
 
 def class_stabilizer(table: ClassTable, c: int) -> frozenset[int]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterable
+from itertools import islice
 
 from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
@@ -185,20 +186,18 @@ def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
     left[j].
     """
     right, parent, edge = cayley
-    # lists read faster than arrays; all of them refer to one int object per
-    # element index
-    ints = list(range(len(parent)))
-    columns = [list(map(ints.__getitem__, column)) for column in right]
+    # the columns' entries are the closure index's int objects, one per
+    # element, and so are left and the actions built from them
     actions = []
-    for right_g in columns:
+    for right_g in right:
         # g⁻¹ is the last power of g before the identity; g is right_g[0]
         inverse, k = 0, right_g[0]
         while k:
             inverse, k = k, right_g[k]
         left = [inverse]
         push = left.append
-        for i, e in zip(parent[1:], edge[1:]):  # the tree below the root
-            push(columns[e][left[i]])
+        for i, e in islice(zip(parent, edge), 1, None):  # the tree below the root
+            push(right[e][left[i]])
         actions.append(list(map(right_g.__getitem__, left)))
     return actions
 

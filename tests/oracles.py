@@ -8,16 +8,21 @@ reads each of these facts off the class table instead.
 ``alternating_power_conjugate`` decides a split class of A_n by building
 the conjugator from rep**k to rep and taking its parity; the package reads
 the same answer off the Jacobi symbols of k over the cycle lengths.
+
+``field_degree`` tests every unit mod L against every condition at once;
+the package narrows the units one condition at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from cutgroups.alternating import AltClassDescriptor
 from cutgroups.errors import NotCoprime
 from cutgroups.group import DEFAULT_CAP, PermGroup
 from cutgroups.perm import Permutation, invert_images
+from cutgroups.rationality import _norm_residue, _units, residues_coprime
 from cutgroups.structure import conjugacy_classes
 
 
@@ -90,3 +95,21 @@ def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
             images[a] = b
     sigma = Permutation(images)
     return sigma.is_even()
+
+
+def field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:
+    """Index of the common stabilizer of all classes under k -> class(rep**k),
+    given each class's (rep order o, units k mod o with rep**k in the class).
+    Rational classes (every unit mod o) are dropped, and the rest are checked
+    over the units mod the lcm L of their orders.  Those units are not put
+    in the _units cache, which holds the units of class orders only.
+    """
+    distinct = {(o, frozenset(stab)) for o, stab in pairs}
+    conditions = [
+        (o, stab) for o, stab in distinct if len(stab) < len(_units(o))
+    ]
+    units = residues_coprime(math.lcm(*(o for o, _ in conditions)))
+    fixed = sum(
+        all(_norm_residue(k, o) in stab for o, stab in conditions) for k in units
+    )
+    return len(units) // fixed

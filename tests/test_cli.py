@@ -74,8 +74,9 @@ class TestAnalyze:
          "abelian degree <4301 digits> exceeds 1000000"),
         ("dihedral:-" + "1" * 4300, "dihedral group needs n >= 3, got -<4300 digits>"),
         ("wreath-sylnorm:3:" + "1" * 4300, "degree 3**<4300 digits> exceeds 1000000"),
+        ("sylnorm:" + "1" * 4300, "sylnorm supports p <= 13, got <4300 digits>"),
     ], ids=["cyclic", "cyclic-21", "cyclic-20", "dicyclic", "abelian", "dihedral",
-            "wreath"])
+            "wreath", "sylnorm"])
     def test_huge_parameter_is_named_by_its_digit_count(self, spec, message, capsys):
         code, out, err = run_cli(["analyze", "--family", spec], capsys)
         assert (code, out) == (2, "")
@@ -145,6 +146,29 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             cli.main(["analyze", "--family", "cyclic:6", "--cap", cap])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "--family", "cyclic:6", "--cap", "1" * 5000],
+         "argument --cap: must be an integer,"
+         " got '111111111111...1111111111111' of 5000 characters"),
+        (["analyze", "--family", "cyclic:6", "--cap", "-" + "1" * 4000],
+         "argument --cap: must be >= 1, got -<4000 digits>"),
+        (["analyze", "--family", "cyclic:6", "--cap", "x"],
+         "argument --cap: must be an integer, got 'x' of 1 characters"),
+        (["survey", "--corpus", "c", "--workers", "x" * 100000],
+         "argument --workers: must be an integer,"
+         " got 'xxxxxxxxxxxx...xxxxxxxxxxxxx' of 100000 characters"),
+    ], ids=["cap-5000-digits", "cap-minus-4000-digits", "cap-x", "workers-100000-x"])
+    def test_refused_integer_option_is_not_echoed(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # argparse prints the subcommand's usage, then the one-line refusal
+        usage, refusal = err.split(f"cutgroups {argv[0]}: error: ")
+        assert usage.startswith(f"usage: cutgroups {argv[0]} ")
+        assert refusal == message + "\n"
+        assert len(err.encode()) - len(usage.encode()) < 200
 
     # Byte-exact outputs; the JSON form is pinned by the benchmark's stored
     # analyze reports and by criterion 14.

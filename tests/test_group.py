@@ -194,10 +194,15 @@ class TestCayley:
         assert index == {encode(p): i for i, p in enumerate(elems)}
         gens = [g.images for g in G.generators]
         assert len(right) == len(gens)
-        for column in (*right, parent, edge):
+        for column in right:
+            assert type(column) is list and len(column) == len(elems)
+        for column in (parent, edge):
             assert column.typecode == "i" and len(column) == len(elems)
         for e, g in enumerate(gens):
-            assert list(right[e]) == [index[encode(then_images(p, g))] for p in elems]
+            products = [index[encode(then_images(p, g))] for p in elems]
+            assert right[e] == products
+            # each entry is the index's own int object for that word
+            assert all(j is k for j, k in zip(right[e], products))
         assert parent[0] == edge[0] == -1
         for j in range(1, len(elems)):
             assert 0 <= parent[j] < j
@@ -483,8 +488,16 @@ class TestClosureAgainstTupleClosure:
         decode = G.encoding.decode
         assert [decode(w) for w in words] == images
         assert {decode(w): i for w, i in index.items()} == tuple_index
-        assert list(index.values()) == list(range(len(words)))
-        assert cayley == tuple_cayley
+        positions = list(index.values())
+        assert positions == list(range(len(words)))
+        right, parent, edge = cayley
+        tuple_right, tuple_parent, tuple_edge = tuple_cayley
+        assert all(type(column) is list for column in right)
+        assert right == [list(column) for column in tuple_right]
+        assert parent.typecode == edge.typecode == "i"
+        assert (parent, edge) == (tuple_parent, tuple_edge)
+        # a column makes no int: each entry is the one the index holds
+        assert all(j is positions[j] for column in right for j in column)
 
     @settings(max_examples=100, deadline=None)
     @given(small_closure_generators())

@@ -308,3 +308,18 @@ class TestValidation:
     def test_points_a_byte_cannot_hold_are_rejected(self, images):
         with pytest.raises(ValueError):
             Permutation(images)
+
+    @pytest.mark.parametrize("images,shown", [
+        (list(range(1, 100001)), "(1, 2, 3, 4, 5, 6, ...)"),
+        ([0, 10 ** 5000], "(0, <5001 digits>)"),
+        (["1" * 100000, 0], "('111111111111...1111111111111', 0)"),
+        ([[1] * 100000, 0], "([...], 0)"),
+        ([1, 1, 0], "(1, 1, 0)"),
+    ], ids=["100000-points", "huge-int", "long-str", "long-list", "short"])
+    def test_refusal_shows_a_bounded_excerpt(self, images, shown):
+        # the whole 100000-point tuple made a 688,926-character message
+        with pytest.raises(ValueError) as exc:
+            Permutation(images)
+        message = str(exc.value)
+        assert message == f"not a permutation of 0..{len(images) - 1}: {shown}"
+        assert len(message) < 300
