@@ -30,7 +30,7 @@ from .corpus import (
     run_survey,
     write_output,
 )
-from .errors import CapExceeded, CorpusError, CutgroupsError, brief, excerpt
+from .errors import CapExceeded, CorpusError, CutgroupsError, brief, excerpt, read_int
 from .group import DEFAULT_CAP, PermGroup
 from .rationality import (
     ALTERNATING_MAX_N,
@@ -41,13 +41,15 @@ from .rationality import (
 from .constructions import parse_family_spec
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {excerpt(text)} of {len(text)} characters"
-        )
+        return read_int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {e}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {brief(value)}")
     return value
@@ -59,7 +61,7 @@ def _checks_argument(known: tuple[str, ...]):
         unknown = [n for n in names if n not in known]
         if unknown:
             raise argparse.ArgumentTypeError(
-                f"unknown checks {unknown}; known: {', '.join(known)}"
+                f"unknown checks {excerpt(unknown)}; known: {', '.join(known)}"
             )
         return names
 
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "an-fields",
         help="character-field degrees of alternating groups, no enumeration",
     )
-    an_fields.add_argument("--max-n", type=int, required=True, dest="max_n")
+    an_fields.add_argument("--max-n", type=_int, required=True, dest="max_n")
     an_fields.set_defaults(func=cmd_an_fields)
 
     for command in (analyze, survey, an_fields):
@@ -112,8 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"cutgroups: {message}", file=sys.stderr)
+def _fail(error: str | Exception, code: int) -> int:
+    """Print one refusal line; an OSError's file name shows as an excerpt."""
+    if isinstance(error, OSError) and error.filename is not None:
+        error = f"[Errno {error.errno}] {error.strerror}: {excerpt(error.filename)}"
+    print(f"cutgroups: {error}", file=sys.stderr)
     return code
 
 
@@ -122,7 +127,7 @@ def _write(text: str, path: str | None) -> int:
     try:
         write_output(text, path)
     except OSError as e:
-        return _fail(str(e), 2)
+        return _fail(e, 2)
     return 0
 
 
@@ -141,11 +146,11 @@ def cmd_analyze(args) -> int:
     try:
         G = _load_single_group(args)
     except (CutgroupsError, OSError) as e:
-        return _fail(str(e), 2)
+        return _fail(e, 2)
     try:
         report = group_rationality(G, args.cap, args.checks)
     except CapExceeded as e:
-        return _fail(str(e), 3)
+        return _fail(e, 3)
     return _write(render_analysis(report, args.format), args.out)
 
 
@@ -153,14 +158,14 @@ def cmd_survey(args) -> int:
     try:
         records = parse_corpus(args.corpus)
     except (CutgroupsError, OSError) as e:
-        return _fail(str(e), 2)
+        return _fail(e, 2)
     if args.out is not None:
         # find an unwritable --out now, not after the whole survey has run;
         # append mode leaves an existing file as it is until the report
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as e:
-            return _fail(str(e), 2)
+            return _fail(e, 2)
     config = SurveyConfig(cap=args.cap, checks=tuple(args.checks), workers=args.workers)
     report = run_survey(records, config, label=str(args.corpus))
     code = _write(render_report(report, args.format), args.out)
@@ -184,13 +189,15 @@ def cmd_construct(args) -> int:
     try:
         G = parse_family_spec(args.family)
     except CutgroupsError as e:
-        return _fail(str(e), 2)
+        return _fail(e, 2)
     return _write(render_record(args.family, G), args.out)
 
 
 def cmd_an_fields(args) -> int:
     if not 4 <= args.max_n <= ALTERNATING_MAX_N:
-        return _fail(f"--max-n must be in 4..{ALTERNATING_MAX_N}, got {args.max_n}", 2)
+        return _fail(
+            f"--max-n must be in 4..{ALTERNATING_MAX_N}, got {brief(args.max_n)}", 2
+        )
     rows = [
         {
             "n": n,

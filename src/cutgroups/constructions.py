@@ -9,7 +9,7 @@ the degree at p**k.
 
 from __future__ import annotations
 
-from .errors import BadParam, DegreeTooLarge, brief
+from .errors import BadParam, DegreeTooLarge, brief, excerpt, read_int
 from .group import MAX_DEGREE, PermGroup
 from .perm import Permutation
 from .structure import is_prime, prime_divisors
@@ -216,36 +216,20 @@ def iterated_wreath(p: int, k: int) -> PermGroup:
     return W
 
 
-def _int(text: str) -> int:
-    """int(text), except that a signed run of decimal digits too long for
-    int() is out of range, reported by its length, not its digits."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if digits.isdecimal():
-            raise BadParam(
-                f"integer parameter of {len(digits)} digits is out of range"
-            ) from None
-        raise
-
-
 def _int_list(text: str) -> list[int]:
-    return [_int(x) for x in text.split(",")]
+    return [read_int(x) for x in text.split(",")]
 
 
 # family -> (builder, one parser per parameter)
 FAMILIES = {
-    "cyclic": (cyclic, (_int,)),
+    "cyclic": (cyclic, (read_int,)),
     "abelian": (abelian, (_int_list,)),
-    "dihedral": (dihedral, (_int,)),
-    "dicyclic": (dicyclic, (_int,)),
-    "symmetric": (symmetric, (_int,)),
-    "alternating": (alternating, (_int,)),
-    "sylnorm": (sylnorm, (_int,)),
-    "wreath-sylnorm": (iterated_wreath, (_int, _int)),
+    "dihedral": (dihedral, (read_int,)),
+    "dicyclic": (dicyclic, (read_int,)),
+    "symmetric": (symmetric, (read_int,)),
+    "alternating": (alternating, (read_int,)),
+    "sylnorm": (sylnorm, (read_int,)),
+    "wreath-sylnorm": (iterated_wreath, (read_int, read_int)),
 }
 
 
@@ -259,15 +243,15 @@ def parse_family_spec(spec: str) -> PermGroup:
     family, *params = spec.strip().split(":")
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
-        raise BadParam(f"unknown family {family!r} (known: {known})")
+        raise BadParam(f"unknown family {excerpt(family)} (known: {known})")
     build, parsers = FAMILIES[family]
     if len(params) != len(parsers):
         raise BadParam(
-            f"family {family!r} takes {len(parsers)} parameter(s),"
+            f"family {excerpt(family)} takes {len(parsers)} parameter(s),"
             f" got {len(params)}"
         )
     try:
         args = [parse(text) for parse, text in zip(parsers, params)]
-    except ValueError:
-        raise BadParam(f"non-integer parameter in {spec!r}") from None
+    except ValueError as e:
+        raise BadParam(f"non-integer parameter {e}") from None
     return build(*args)

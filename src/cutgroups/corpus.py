@@ -37,10 +37,12 @@ from .errors import (
     DuplicateId,
     OrderMismatch,
     brief,
+    excerpt,
+    read_int,
 )
 from .group import DEFAULT_CAP, MAX_DEGREE, PermGroup
 from .perm import format_permutation, parse_permutation
-from .rationality import CHECKS, Analysis, GroupReport, group_rationality
+from .rationality import CHECKS, Analysis, GroupReport
 
 # syl2 is informational: it fills the row's sylow2_cut, not a check result.
 ALL_CHECKS = tuple(CHECKS) + ("syl2",)
@@ -131,55 +133,50 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
                 if not rest:
                     raise CorpusSyntaxError(line_no, "'group' needs an id")
                 if rest in seen_ids:
-                    raise DuplicateId(f"duplicate record id {rest!r} at line {line_no}")
+                    raise DuplicateId(
+                        f"duplicate record id {excerpt(rest)} at line {line_no}"
+                    )
                 seen_ids.add(rest)
                 current = {"id": rest, "line": line_no}
                 gen_lines = []
             elif current is None:
-                raise CorpusSyntaxError(line_no, f"{key!r} outside a group record")
+                raise CorpusSyntaxError(
+                    line_no, f"{excerpt(key)} outside a group record"
+                )
             elif key in ("name", "degree", "order", "tags") and key in current:
                 raise CorpusSyntaxError(
-                    line_no, f"record {current['id']!r} repeats {key!r}"
+                    line_no, f"record {excerpt(current['id'])} repeats {excerpt(key)}"
                 )
             elif key == "name":
                 current["name"] = rest
-            elif key == "degree":
-                current["degree"] = _parse_int(line_no, key, rest)
+            elif key in ("degree", "order"):
+                try:
+                    current[key] = read_int(rest)
+                except ValueError as e:
+                    raise CorpusSyntaxError(line_no, f"bad {key} {e}") from None
+                if key == "order":
+                    current["order_line"] = line_no
             elif key == "gen":
                 gen_lines.append((line_no, rest))
-            elif key == "order":
-                current["order"] = _parse_int(line_no, key, rest)
-                current["order_line"] = line_no
             elif key == "tags":
                 current["tags"] = [t.strip() for t in rest.split(",") if t.strip()]
             elif key == "end":
                 records.append(_finish_record(current, gen_lines))
                 current = None
             else:
-                raise CorpusSyntaxError(line_no, f"unknown keyword {key!r}")
+                raise CorpusSyntaxError(line_no, f"unknown keyword {excerpt(key)}")
     if current is not None:
         raise CorpusSyntaxError(current["line"], "record missing 'end'")
     return records
 
 
-def _parse_int(line_no: int, key: str, text: str) -> int:
-    """``int(text)`` for a ``degree`` or ``order`` line.  A run of digits
-    that int() refuses (past 4300 digits) is named by its length, not
-    echoed."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text[1:] if text[:1] in ("+", "-") else text
-        shown = f"<{len(digits)} digits>" if digits.isdecimal() else repr(text)
-        raise CorpusSyntaxError(line_no, f"bad {key} {shown}") from None
-
-
 def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupRecord:
     start = current["line"]
-    if "degree" not in current:
-        raise CorpusSyntaxError(start, f"record {current['id']!r} has no degree")
-    if not gen_lines:
-        raise CorpusSyntaxError(start, f"record {current['id']!r} has no generators")
+    if "degree" not in current or not gen_lines:
+        missing = "degree" if "degree" not in current else "generators"
+        raise CorpusSyntaxError(
+            start, f"record {excerpt(current['id'])} has no {missing}"
+        )
     degree = current["degree"]
     if not 1 <= degree <= MAX_DEGREE:
         raise CorpusSyntaxError(
@@ -191,7 +188,7 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
             gens.append(parse_permutation(text, degree))
         except CutgroupsError as e:
             raise CorpusSyntaxError(
-                line_no, f"record {current['id']!r}: {e}"
+                line_no, f"record {excerpt(current['id'])}: {e}"
             ) from None
     record = GroupRecord(
         id=current["id"],
@@ -222,7 +219,7 @@ def _analyze(
         report, results = analysis.report, analysis.run(checks)
         sylow2_cut = None
         if syl2 and report.is_cut:
-            sylow2_cut = group_rationality(analysis.sylow(2), cap).is_cut
+            sylow2_cut = analysis.sylow_analysis(2).report.is_cut
     except CapExceeded as e:
         return {"id": rid, "skipped": str(e)}
     except Exception as e:
@@ -354,7 +351,7 @@ def _render(
         return _csv_table(*table)
     if format == "text":
         return text(payload)
-    raise ValueError(f"unknown format {format!r}")
+    raise ValueError(f"unknown format {excerpt(format)}")
 
 
 def _csv_table(columns, rows: list[dict], check_names) -> str:

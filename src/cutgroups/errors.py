@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and ``brief`` and
-``excerpt``, which their messages use to show a number or any other value
-the caller gave."""
+"""Exception types shared across the package; ``brief`` and ``excerpt``,
+which their messages use to show a number or any other value the caller
+gave; and ``read_int``, the one reader of an integer the user wrote."""
 
 import math
 import reprlib
@@ -33,6 +33,20 @@ class _Excerpt(reprlib.Repr):
 # A value for a message: a string's ends, a sequence's first items, an
 # int's digits or digit count, so that echoing any input stays one short line.
 excerpt = _Excerpt().repr
+
+
+def read_int(text: str) -> int:
+    """``int(text)``, or a ValueError whose message shows the text for the
+    caller's refusal: ``<k digits>`` for a signed run of k decimal digits
+    (int() reads at most 4300), else ``excerpt(text)``."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        shown = f"<{len(digits)} digits>" if digits.isdecimal() else excerpt(text)
+        raise ValueError(shown) from None
 
 
 class CutgroupsError(Exception):
@@ -110,8 +124,8 @@ class OrderMismatch(CorpusError):
 
     def __init__(self, record_id: str, expected: int, actual: int, line_no: int):
         super().__init__(
-            f"line {line_no}: record {record_id!r}:"
-            f" declared order {expected}, computed {actual}"
+            f"line {line_no}: record {excerpt(record_id)}:"
+            f" declared order {brief(expected)}, computed {actual}"
         )
         self.record_id = record_id
         self.line_no = line_no

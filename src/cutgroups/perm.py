@@ -22,6 +22,7 @@ from .errors import (
     MalformedCycle,
     PointOutOfRange,
     RepeatedPoint,
+    brief,
     excerpt,
 )
 
@@ -77,21 +78,23 @@ class Permutation:
 
     @staticmethod
     def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
-        """Build from 1-based cycles; points not mentioned are fixed."""
+        """Build from 1-based cycles; points not mentioned are fixed.  The one
+        check of cycle points, cycle by cycle: each in 1..degree and none
+        repeated, which makes the images a bijection with no further check."""
         images = list(range(degree))
         seen = set()
         for cycle in cycles:
             for point in cycle:
                 if not 1 <= point <= degree:
-                    raise PointOutOfRange(f"point {point} not in 1..{degree}")
+                    raise PointOutOfRange(f"point {brief(point)} not in 1..{degree}")
                 if point in seen:
-                    raise RepeatedPoint(f"point {point} occurs twice")
+                    raise RepeatedPoint(f"repeated point {brief(point)}")
                 seen.add(point)
             for a, b in zip(cycle, cycle[1:]):
                 images[a - 1] = b - 1
             if cycle:
                 images[cycle[-1] - 1] = cycle[0] - 1
-        return Permutation(images)
+        return Permutation._trusted(tuple(images))
 
     # -- basic protocol --------------------------------------------------------
 
@@ -233,7 +236,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse disjoint cycles in 1-based notation, e.g. ``(1 2 3)(4 5)``.
 
     ``()`` denotes the identity and is only valid as the entire string.
-    Each cycle needs at least two points; points not mentioned are fixed.
+    Each cycle needs at least two points, checked here with the grammar;
+    ``from_cycles`` checks the points, and fixes those not mentioned.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -241,23 +245,20 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     if stripped == "()":
         return Permutation.identity(degree)
     if not stripped or not _TOKEN_RE.match(stripped):
-        raise MalformedCycle(f"not cycle notation: {text!r}")
+        raise MalformedCycle(f"not cycle notation: {excerpt(text)}")
     cycles = []
     for body in _CYCLE_RE.findall(stripped):
         parts = body.split()
         if len(parts) < 2:
-            raise MalformedCycle(f"cycle needs at least two points: ({body})")
+            raise MalformedCycle(
+                f"cycle needs at least two points: {excerpt(f'({body})')}"
+            )
         try:
-            cycle = [int(part) for part in parts]
+            cycles.append([int(part) for part in parts])
         except ValueError:
-            raise MalformedCycle(f"non-integer point in cycle: ({body})") from None
-        for point in cycle:
-            if point < 1 or point > degree:
-                raise PointOutOfRange(f"point {point} not in 1..{degree}")
-        cycles.append(cycle)
-    flat = [point for cycle in cycles for point in cycle]
-    if len(flat) != len(set(flat)):
-        raise RepeatedPoint(f"repeated point in {text!r}")
+            raise MalformedCycle(
+                f"non-integer point in cycle: {excerpt(f'({body})')}"
+            ) from None
     return Permutation.from_cycles(cycles, degree)
 
 

@@ -137,10 +137,6 @@ class ClassTable:
         except (KeyError, ValueError):  # bytes() rejects a point above 255
             raise ValueError(f"{p} is not a member of the group") from None
 
-    def power_class(self, c: int, k: int) -> int:
-        """Class index of reps[c] ** k; k may be zero, negative or large."""
-        return self.power_map[c][k % self.rep_orders[c]]
-
 
 def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     """Full class partition by orbits of the conjugation action, seeded from

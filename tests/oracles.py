@@ -11,6 +11,11 @@ the same answer off the Jacobi symbols of k over the cycle lengths.
 
 ``field_degree`` tests every unit mod L against every condition at once;
 the package narrows the units one condition at a time.
+
+``is_rational_bruteforce`` and ``is_semirational_bruteforce`` are the
+definitions of a rational and a semi-rational group, element by element,
+on classes found by conjugating with every element; the package reads both
+verdicts off the class table's power map.
 """
 
 from __future__ import annotations
@@ -44,6 +49,40 @@ def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
             if math.gcd(k, o) == 1 and (x ** k).images not in targets:
                 return False
     return True
+
+
+def _generator_classes(G: PermGroup, cap: int = DEFAULT_CAP):
+    """For every element x, the classes of the generators x**k of <x>
+    (k a unit mod o(x)) as a set of class numbers.  Each class is found by
+    conjugating one element not yet placed with every element of G."""
+    elems = G.elements(cap)
+    class_of: dict[tuple[int, ...], int] = {}
+    classes = 0
+    for x in elems:
+        if x.images not in class_of:
+            for g in elems:
+                class_of[x.conjugate_by(g).images] = classes
+            classes += 1
+    for x in elems:
+        o = x.order()
+        power, found = x, set()
+        for k in range(1, o + 1):
+            if math.gcd(k, o) == 1:
+                found.add(class_of[power.images])
+            power = power * x
+        yield found
+
+
+def is_rational_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+    """The definition verdict: every x is conjugate to x**k for every unit
+    k mod o(x), so the generators of <x> make up one class."""
+    return all(len(found) == 1 for found in _generator_classes(G, cap))
+
+
+def is_semirational_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+    """The definition verdict: for every x the generators of <x> fall in at
+    most two classes."""
+    return all(len(found) <= 2 for found in _generator_classes(G, cap))
 
 
 def exponent(G: PermGroup, cap: int = DEFAULT_CAP) -> int:

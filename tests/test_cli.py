@@ -7,6 +7,7 @@ import pytest
 
 from cutgroups import cli
 from cutgroups.corpus import parse_corpus
+from cutgroups.errors import excerpt
 from cutgroups.rationality import CHECKS, CheckResult
 
 
@@ -54,17 +55,11 @@ class TestAnalyze:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("spec", [
-        "cyclic:" + "1" * 5000, "abelian:2," + "1" * 5000, "cyclic:-" + "1" * 5000,
-    ], ids=["cyclic", "abelian", "signed"])
-    def test_too_long_integer_parameter_is_out_of_range(self, spec, capsys):
-        # int() refuses more than 4300 digits; the digits are not echoed
-        code, out, err = run_cli(["analyze", "--family", spec], capsys)
-        assert (code, out) == (2, "")
-        assert err == "cutgroups: integer parameter of 5000 digits is out of range\n"
-        assert len(err.encode()) < 200
-
     @pytest.mark.parametrize("spec,message", [
+        # int() refuses more than 4300 digits; the digits are not echoed
+        ("cyclic:" + "1" * 5000, "non-integer parameter <5000 digits>"),
+        ("abelian:2," + "1" * 5000, "non-integer parameter <5000 digits>"),
+        ("cyclic:-" + "1" * 5000, "non-integer parameter <5000 digits>"),
         ("cyclic:" + "1" * 4300, "cyclic degree <4300 digits> exceeds 1000000"),
         ("cyclic:" + "1" * 21, "cyclic degree <21 digits> exceeds 1000000"),
         ("cyclic:" + "1" * 20, "cyclic degree 11111111111111111111 exceeds 1000000"),
@@ -75,19 +70,21 @@ class TestAnalyze:
         ("dihedral:-" + "1" * 4300, "dihedral group needs n >= 3, got -<4300 digits>"),
         ("wreath-sylnorm:3:" + "1" * 4300, "degree 3**<4300 digits> exceeds 1000000"),
         ("sylnorm:" + "1" * 4300, "sylnorm supports p <= 13, got <4300 digits>"),
-    ], ids=["cyclic", "cyclic-21", "cyclic-20", "dicyclic", "abelian", "dihedral",
-            "wreath", "sylnorm"])
+    ], ids=["cyclic-5000", "abelian-5000", "signed-5000", "cyclic", "cyclic-21",
+            "cyclic-20", "dicyclic", "abelian", "dihedral", "wreath", "sylnorm"])
     def test_huge_parameter_is_named_by_its_digit_count(self, spec, message, capsys):
         code, out, err = run_cli(["analyze", "--family", spec], capsys)
         assert (code, out) == (2, "")
         assert err == f"cutgroups: {message}\n"
         assert len(err.encode()) < 200
 
-    @pytest.mark.parametrize("spec", ["cyclic:12x", "cyclic:+-1", "abelian:2,3x"])
-    def test_non_integer_parameter_is_echoed(self, spec, capsys):
+    @pytest.mark.parametrize("spec,param", [
+        ("cyclic:12x", "12x"), ("cyclic:+-1", "+-1"), ("abelian:2,3x", "3x"),
+    ])
+    def test_non_integer_parameter_is_echoed(self, spec, param, capsys):
         code, out, err = run_cli(["analyze", "--family", spec], capsys)
         assert (code, out) == (2, "")
-        assert err == f"cutgroups: non-integer parameter in {spec!r}\n"
+        assert err == f"cutgroups: non-integer parameter {param!r}\n"
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run_cli(
@@ -149,15 +146,14 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv,message", [
         (["analyze", "--family", "cyclic:6", "--cap", "1" * 5000],
-         "argument --cap: must be an integer,"
-         " got '111111111111...1111111111111' of 5000 characters"),
+         "argument --cap: must be an integer, got <5000 digits>"),
         (["analyze", "--family", "cyclic:6", "--cap", "-" + "1" * 4000],
          "argument --cap: must be >= 1, got -<4000 digits>"),
         (["analyze", "--family", "cyclic:6", "--cap", "x"],
-         "argument --cap: must be an integer, got 'x' of 1 characters"),
+         "argument --cap: must be an integer, got 'x'"),
         (["survey", "--corpus", "c", "--workers", "x" * 100000],
          "argument --workers: must be an integer,"
-         " got 'xxxxxxxxxxxx...xxxxxxxxxxxxx' of 100000 characters"),
+         " got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     ], ids=["cap-5000-digits", "cap-minus-4000-digits", "cap-x", "workers-100000-x"])
     def test_refused_integer_option_is_not_echoed(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -588,7 +584,7 @@ class TestUnwritableOut:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("cutgroups: ") and str(out_path) in err
+        assert err.startswith("cutgroups: ") and excerpt(str(out_path)) in err
         assert "Traceback" not in err
 
 
@@ -610,7 +606,7 @@ def test_survey_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("cutgroups: ") and str(out_path) in err
+    assert err.startswith("cutgroups: ") and excerpt(str(out_path)) in err
     assert "Traceback" not in err
 
 

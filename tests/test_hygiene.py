@@ -141,3 +141,41 @@ def test_traced_permgroup_methods_exist():
     ]
     assert methods
     assert [m for m in methods if m not in PermGroup.__dict__] == []
+
+
+def repr_conversions(source: str) -> list[str]:
+    """Each f-string ``!r`` conversion, named by its enclosing class and
+    function.  A refusal shows user input through ``errors.excerpt``, which
+    bounds it; ``!r`` would echo the input whole."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.FormattedValue) and child.conversion == ord("r"):
+                found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_scanner_finds_a_repr_conversion():
+    source = (
+        "x = f'{1!r}'\n"
+        "class A:\n"
+        "    def f(self, y):\n"
+        "        return f'{y!s} {y!a} {y}', f'{y!r}'\n"
+    )
+    assert repr_conversions(source) == ["<module> (line 1)", "A.f (line 4)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(cutgroups.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_repr_conversions_but_permutation_repr(path):
+    allowed = ["Permutation.__repr__"] if path.name == "perm.py" else []
+    found = repr_conversions(path.read_text(encoding="utf-8"))
+    assert [f.split(" ")[0] for f in found] == allowed

@@ -76,6 +76,14 @@ class TestParse:
         with pytest.raises(RepeatedPoint):
             parse_permutation("(1 2 1)", 3)
 
+    def test_points_checked_cycle_by_cycle(self):
+        # from_cycles is the one check of points: the repeat in the second
+        # cycle is met before the point out of range after it
+        with pytest.raises(RepeatedPoint, match=r"^repeated point 1$"):
+            parse_permutation("(1 2)(1 9)", 5)
+        with pytest.raises(PointOutOfRange, match=r"^point 9 not in 1\.\.5$"):
+            parse_permutation("(1 2)(9 1)", 5)
+
 
 class TestFormat:
     def test_identity(self):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exponent, field_degree, is_cut_bruteforce
+from oracles import (
+    exponent,
+    field_degree,
+    is_cut_bruteforce,
+    is_rational_bruteforce,
+    is_semirational_bruteforce,
+)
 from cutgroups.alternating import alternating_classes, alternating_power_conjugate
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, BoundExceeded
@@ -175,6 +181,26 @@ class TestBruteforceOracle:
     )
     def test_oracle_matches_class_computation(self, G):
         assert group_rationality(G).is_cut == is_cut_bruteforce(G)
+
+    @pytest.mark.parametrize("G,rational,semirational", [
+        (cyclic(2), True, True), (cyclic(3), False, True), (cyclic(5), False, False),
+        (symmetric(4), True, True), (dicyclic(3), False, True),
+    ], ids=["C2", "C3", "C5", "S4", "Dic3"])
+    def test_definition_oracles_on_known_groups(self, G, rational, semirational):
+        assert is_rational_bruteforce(G) is rational
+        assert is_semirational_bruteforce(G) is semirational
+
+    def test_definition_oracles_match_on_bundled_groups(self):
+        checked = 0
+        for record in parse_corpus(bundled_corpus_path()):
+            G = record.group
+            if G.order() > 400:
+                continue
+            report = group_rationality(G)
+            assert report.is_rational == is_rational_bruteforce(G), record.id
+            assert report.is_semirational == is_semirational_bruteforce(G), record.id
+            checked += 1
+        assert checked == 169
 
 
 class TestQgDegree:
@@ -521,7 +547,9 @@ def qg_degree_exponent_wide(G):
     fixed = [
         k
         for k in units
-        if all(table.power_class(c, k) == c for c in range(len(table)))
+        if all(
+            table.power_map[c][k % table.rep_orders[c]] == c for c in range(len(table))
+        )
     ]
     return len(units) // len(fixed)
 
