@@ -38,8 +38,6 @@ from .structure import (
     derived_subgroup,
     is_elementary_abelian,
     is_solvable,
-    p_core,
-    sylow,
 )
 from .alternating import (
     AltClassDescriptor,
@@ -55,9 +53,11 @@ from .rationality import (
     classify_class,
     conjecture_suite,
     group_rationality,
+    p_core,
     qg_degree,
     qg_degree_alternating,
     residues_coprime,
+    sylow,
 )
 from .constructions import (
     abelian,

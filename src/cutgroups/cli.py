@@ -68,8 +68,23 @@ def _checks_argument(known: tuple[str, ...]):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals stay one short line: argparse quotes
+    a refused value or a stray argument whole, so each word of its message
+    longer than an excerpt shows as one, and the words past the sixteenth
+    are dropped.  Subparsers are built by the same class."""
+
+    def error(self, message: str):
+        words = [
+            w if len(w) <= 30 else excerpt(w.strip("'")) for w in message.split(" ")
+        ]
+        if len(words) > 16:
+            words[16:] = ["..."]
+        super().error(" ".join(words))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutgroups",
         description="Rationality analysis of finite permutation groups",
     )
@@ -137,7 +152,7 @@ def _load_single_group(args) -> PermGroup:
     records = parse_corpus(args.file)
     if len(records) != 1:
         raise CorpusError(
-            f"{args.file}: expected exactly one record, found {len(records)}"
+            f"{excerpt(args.file)}: expected exactly one record, found {len(records)}"
         )
     return records[0].group
 

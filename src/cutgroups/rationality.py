@@ -21,16 +21,19 @@ from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
-from .errors import BoundExceeded
+from .errors import BadParam, BoundExceeded
 from .group import DEFAULT_CAP, PermGroup
 from .structure import (
     ClassTable,
+    _normal_closure,
     _sylow,
     abelianization_exponent_divides,
     conjugacy_classes,
     core_classes,
     is_elementary_abelian,
+    is_prime,
     is_solvable,
+    p_part,
     prime_divisors,
 )
 
@@ -132,11 +135,6 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(residues_coprime(n))
 
 
-def _norm_residue(k: int, n: int) -> int:
-    """Representative of k mod n in [1, n]."""
-    return (k % n) or n
-
-
 def _field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:
     """Index of the common stabilizer of all classes under k -> class(rep**k),
     given each class's (rep order o, units k mod o with rep**k in the class).
@@ -171,13 +169,13 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
     stab = class_stabilizer(table, c)
     degree = len(units) // len(stab)
     is_real = o <= 2 or (o - 1) in stab
-    inverse_closure = stab | {_norm_residue((o - 1) * s, o) for s in stab}
     return ClassRationality(
         element_order=o,
         stabilizer=tuple(sorted(stab)),
         is_rational=len(stab) == len(units),
-        # inverse_closure is a set of units, so equal sizes mean all units
-        is_inverse_semirational=len(inverse_closure) == len(units),
+        # stab and -stab, its coset, cover the units exactly when stab has
+        # index 1, or index 2 without -1 (the class is not real)
+        is_inverse_semirational=degree == 1 or (degree == 2 and not is_real),
         is_semirational=degree <= 2,
         is_real=is_real,
         field_degree=degree,
@@ -189,7 +187,7 @@ class Analysis:
     """Everything the report and the checks ask about one group, each fact
     computed at most once: the class table, the per-class verdicts,
     solvability, the character-field degree, and per prime the Sylow
-    subgroup, its own Analysis and the order and exponent of the p-core.
+    subgroup, its own Analysis and the classes that make up the p-core.
     Element orders, p-cores and class membership are read off the class
     table.
 
@@ -250,22 +248,29 @@ class Analysis:
         )
 
     def sylow(self, p: int) -> PermGroup:
+        """A Sylow p-subgroup by normalizer growth (structure._sylow); a p
+        that is not prime is refused before the table is built."""
+        if not is_prime(p):
+            raise BadParam(f"p must be prime, got {p}")
         return self._once(("sylow", p), lambda: _sylow(self.table, p))
 
     def sylow_analysis(self, p: int) -> Analysis:
         return self._once(("analysis", p), lambda: Analysis(self.sylow(p), self.cap))
 
+    def core(self, p: int) -> set[int]:
+        """The classes of G that lie wholly in the Sylow p-subgroup; their
+        union is O_p(G)."""
+        return self._once(
+            ("core", p),
+            lambda: core_classes(self.sylow(p).closure(self.cap)[0], self.table),
+        )
+
     def p_core(self, p: int) -> tuple[int, int]:
-        """Order and exponent of O_p(G), summed over the classes of G that
-        lie wholly in the Sylow p-subgroup; no core group is built."""
-
-        def compute() -> tuple[int, int]:
-            table = self.table
-            core = core_classes(self.sylow(p).closure(self.cap)[0], table)
-            order = sum(table.sizes[c] for c in core)
-            return order, math.lcm(*(table.rep_orders[c] for c in core))
-
-        return self._once(("p_core", p), compute)
+        """Order and exponent of O_p(G), summed over its classes (core); no
+        core group is built."""
+        core, table = self.core(p), self.table
+        order = sum(table.sizes[c] for c in core)
+        return order, math.lcm(*(table.rep_orders[c] for c in core))
 
     def run(self, checks: Iterable[str]) -> dict[str, CheckResult]:
         """Results of the named CHECKS, in the order given."""
@@ -290,6 +295,21 @@ def qg_degree(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
     return Analysis(G, cap).qg_degree
 
 
+def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
+    """A Sylow p-subgroup of G (Analysis.sylow); the trivial group when p
+    does not divide |G|."""
+    return Analysis(G, cap).sylow(p)
+
+
+def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
+    """O_p(G), the largest normal p-subgroup: the normal closure in G of
+    the reps of the classes that make it up (Analysis.core)."""
+    analysis = Analysis(G, cap)
+    core = analysis.core(p)  # refuses a p that is not prime before the table
+    reps = analysis.table.reps
+    return _normal_closure(G, [reps[c] for c in sorted(core) if c])
+
+
 def qg_degree_alternating(n: int) -> int:
     """Same field degree as qg_degree, but from the alternating class
     descriptors, never enumerating A_n.  Non-split classes are rational, so
@@ -306,12 +326,6 @@ def qg_degree_alternating(n: int) -> int:
             ]
             split_stabs.append((o, stab))
     return _field_degree(split_stabs)
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # Each check maps an Analysis to a PASS/FAIL/SKIP result.  Registration
@@ -428,7 +442,7 @@ def _lemma61(a: Analysis) -> CheckResult:
     FAIL means an implementation bug, not a discovery."""
     table = a.table
     three_classes = [
-        c for c, o in enumerate(table.rep_orders) if o > 1 and _is_power_of(o, 3)
+        c for c, o in enumerate(table.rep_orders) if o > 1 and p_part(o, 3) == o
     ]
     if not three_classes:
         return CheckResult(PASS, "vacuous: no elements of 3-power order")

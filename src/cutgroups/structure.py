@@ -15,12 +15,13 @@ products of words only for a class that is not a power of an earlier
 one, so at most one row per Galois orbit of classes, and derives every
 other row from it.
 
-The Sylow scans read element orders off the class table, and O_p(G) is the
-union of the classes of G that lie wholly in a Sylow p-subgroup
-(core_classes), so its order and exponent are class sums.
-Subgroups are plain PermGroups: sylow, p_core and derived_subgroup return
-the group their growth loop built last, chain included, or the trivial
-group.
+The Sylow scans (_sylow) read element orders off the class table, and
+O_p(G) is the union of the classes of G that lie wholly in a Sylow
+p-subgroup (core_classes), so its order and exponent are class sums.
+``rationality.Analysis`` asks for both once per group.  Subgroups are
+plain PermGroups: _sylow and _normal_closure, which builds the derived
+subgroup and O_p(G), return the group their growth loop built last, chain
+included, or the trivial group.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from collections import Counter, deque
 from collections.abc import Iterable
 from itertools import islice
 
-from .errors import BadParam, CapExceeded
 from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
 from .perm import Permutation, commutator, compose
 
@@ -204,20 +204,6 @@ def _normalizes(g: Permutation, H: PermGroup) -> bool:
     return all(H.contains(h.conjugate_by(g)) for h in H.generators)
 
 
-def sylow(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """A Sylow p-subgroup via normalizer growth (see _sylow), from a class
-    table of G built for this call; the trivial group, with no table, when
-    p does not divide |G|."""
-    if not is_prime(p):
-        raise BadParam(f"p must be prime, got {p}")
-    order = G.order()
-    if order > cap:
-        raise CapExceeded(order, cap)
-    if p_part(order, p) == 1:
-        return trivial_group(G.degree)
-    return _sylow(conjugacy_classes(G, cap), p)
-
-
 def _sylow(table: ClassTable, p: int) -> PermGroup:
     """A Sylow p-subgroup of the group G of ``table`` via normalizer growth.
 
@@ -232,8 +218,6 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     An element's order is its class rep's, so the scans skip p'-elements by
     a lookup and wrap as Permutations only the elements they test.
     """
-    if not is_prime(p):
-        raise BadParam(f"p must be prime, got {p}")
     G = table.group
     target = p_part(G.order(), p)
     index, classes = table.index, table.classes
@@ -259,14 +243,6 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     return P
 
 
-def p_core(G: PermGroup, p: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """O_p(G), the largest normal p-subgroup."""
-    if not is_prime(p):
-        raise BadParam(f"p must be prime, got {p}")
-    table = conjugacy_classes(G, cap)
-    return core_of(_sylow(table, p), table, cap)
-
-
 def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) -> set[int]:
     """The classes of G, the group of ``table``, that lie wholly in its
     subgroup P, given the words of P's members (``P.closure()[0]``), which
@@ -283,27 +259,6 @@ def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) 
     return {c for c, n in hits.items() if n == table.sizes[c]}
 
 
-def core_of(P: PermGroup, table: ClassTable, cap: int = DEFAULT_CAP) -> PermGroup:
-    """The subgroup of the elements of P whose whole conjugacy class in G,
-    the group of ``table``, lies in P (see core_classes); for P Sylow this
-    is O_p(G).  It grows greedily over one enumeration of P, and only the
-    members of those classes are wrapped as Permutations.
-    """
-    members = P.closure(cap)[0]
-    core = core_classes(members, table)
-    index, classes = table.index, table.classes
-    decode = P.encoding.decode
-    gens: list[Permutation] = []
-    group = trivial_group(P.degree)
-    for t in members:
-        if classes[index[t]] in core:
-            e = Permutation._trusted(decode(t))
-            if not group.contains(e):
-                gens.append(e)
-                group = PermGroup(P.degree, gens)
-    return group
-
-
 def derived_subgroup(H: PermGroup) -> PermGroup:
     """Normal closure of the generator commutators; generator-based, so it
     works beyond the enumeration cap."""
@@ -315,6 +270,15 @@ def derived_subgroup(H: PermGroup) -> PermGroup:
             if not c.is_identity() and c.images not in seen:
                 seen.add(c.images)
                 seeds.append(c)
+    return _normal_closure(H, seeds)
+
+
+def _normal_closure(H: PermGroup, seeds: list[Permutation]) -> PermGroup:
+    """The smallest normal subgroup of H holding ``seeds``, elements of H:
+    the group they generate, grown by each conjugate of a seed or a grown
+    generator by a generator of H that lands outside it.  Generator-based,
+    so it works beyond the enumeration cap; the trivial group when there
+    are no seeds."""
     if not seeds:
         return trivial_group(H.degree)
     gens = list(seeds)

@@ -12,22 +12,27 @@ the same answer off the Jacobi symbols of k over the cycle lengths.
 ``field_degree`` tests every unit mod L against every condition at once;
 the package narrows the units one condition at a time.
 
-``is_rational_bruteforce`` and ``is_semirational_bruteforce`` are the
-definitions of a rational and a semi-rational group, element by element,
-on classes found by conjugating with every element; the package reads both
-verdicts off the class table's power map.
+``is_rational_bruteforce``, ``is_semirational_bruteforce`` and
+``is_cut_by_classes`` are the definitions of a rational, a semi-rational
+and a cut group, element by element, on classes found by conjugating with
+every element; ``class_fields`` and ``qg_degree_bruteforce`` read the
+degree and imaginarity of each class's field, and the degree of the field
+of the whole table, off the same classes.  The package reads all of these
+off the class table's power map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from collections.abc import Iterable
 
 from cutgroups.alternating import AltClassDescriptor
 from cutgroups.errors import NotCoprime
 from cutgroups.group import DEFAULT_CAP, PermGroup
 from cutgroups.perm import Permutation, invert_images
-from cutgroups.rationality import _norm_residue, _units, residues_coprime
+from cutgroups.rationality import _units, residues_coprime
 from cutgroups.structure import conjugacy_classes
 
 
@@ -51,10 +56,12 @@ def is_cut_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     return True
 
 
-def _generator_classes(G: PermGroup, cap: int = DEFAULT_CAP):
-    """For every element x, the classes of the generators x**k of <x>
-    (k a unit mod o(x)) as a set of class numbers.  Each class is found by
-    conjugating one element not yet placed with every element of G."""
+@functools.lru_cache(maxsize=1)  # the oracles asked of one group in a row
+def _power_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
+    """For every element x of order o, the tuple whose entry k is the class
+    number of x**k, k in 0..o-1: entry 1 % o is x's class and entry -1 the
+    class of x⁻¹.  Each class is found by conjugating one element not yet
+    placed with every element of G."""
     elems = G.elements(cap)
     class_of: dict[tuple[int, ...], int] = {}
     classes = 0
@@ -63,26 +70,63 @@ def _generator_classes(G: PermGroup, cap: int = DEFAULT_CAP):
             for g in elems:
                 class_of[x.conjugate_by(g).images] = classes
             classes += 1
+    rows = []
     for x in elems:
-        o = x.order()
-        power, found = x, set()
-        for k in range(1, o + 1):
-            if math.gcd(k, o) == 1:
-                found.add(class_of[power.images])
-            power = power * x
-        yield found
+        powers = [Permutation.identity(G.degree)]
+        for _ in range(1, x.order()):
+            powers.append(powers[-1] * x)
+        rows.append(tuple(class_of[p.images] for p in powers))
+    return tuple(rows)
+
+
+def _generator_classes(row: tuple[int, ...]) -> set[int]:
+    """The classes of the generators x**k of <x>, k a unit mod o(x), given
+    x's row of _power_classes; their number is the degree of the field of
+    x's class."""
+    o = len(row)
+    return {row[k] for k in range(o) if math.gcd(k, o) == 1}
 
 
 def is_rational_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """The definition verdict: every x is conjugate to x**k for every unit
     k mod o(x), so the generators of <x> make up one class."""
-    return all(len(found) == 1 for found in _generator_classes(G, cap))
+    return all(len(_generator_classes(row)) == 1 for row in _power_classes(G, cap))
 
 
 def is_semirational_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """The definition verdict: for every x the generators of <x> fall in at
     most two classes."""
-    return all(len(found) <= 2 for found in _generator_classes(G, cap))
+    return all(len(_generator_classes(row)) <= 2 for row in _power_classes(G, cap))
+
+
+def is_cut_by_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> bool:
+    """The definition verdict: for every x the generators of <x> lie in
+    the class of x or the class of x⁻¹."""
+    return all(
+        _generator_classes(row) <= {row[1 % len(row)], row[-1]}
+        for row in _power_classes(G, cap)
+    )
+
+
+def class_fields(G: PermGroup, cap: int = DEFAULT_CAP) -> Counter:
+    """How many classes have a field of each (degree, imaginary): the
+    degree is the number of classes the generators of <x> fall in, and
+    the field is imaginary when x is not conjugate to x⁻¹."""
+    rows = set(_power_classes(G, cap))  # conjugate elements share a row
+    return Counter(
+        (len(_generator_classes(row)), row[1 % len(row)] != row[-1]) for row in rows
+    )
+
+
+def qg_degree_bruteforce(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
+    """The index, in the units k mod exp(G), of those that fix every class:
+    for every x, x**k lies in the class of x."""
+    rows = set(_power_classes(G, cap))
+    units = residues_coprime(exponent(G, cap))
+    fixed = [
+        k for k in units if all(row[k % len(row)] == row[1 % len(row)] for row in rows)
+    ]
+    return len(units) // len(fixed)
 
 
 def exponent(G: PermGroup, cap: int = DEFAULT_CAP) -> int:
@@ -134,6 +178,11 @@ def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
             images[a] = b
     sigma = Permutation(images)
     return sigma.is_even()
+
+
+def _norm_residue(k: int, n: int) -> int:
+    """Representative of k mod n in [1, n]."""
+    return (k % n) or n
 
 
 def field_degree(pairs: Iterable[tuple[int, Iterable[int]]]) -> int:

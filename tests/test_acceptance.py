@@ -24,15 +24,12 @@ from cutgroups.group import PermGroup
 from cutgroups.rationality import (
     classify_class,
     group_rationality,
+    p_core,
     qg_degree,
     qg_degree_alternating,
-)
-from cutgroups.structure import (
-    conjugacy_classes,
-    is_solvable,
-    p_core,
     sylow,
 )
+from cutgroups.structure import conjugacy_classes, is_solvable
 from cutgroups.constructions import (
     abelian,
     alternating,

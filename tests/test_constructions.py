@@ -9,7 +9,8 @@ from cutgroups import constructions
 from cutgroups.errors import BadParam, DegreeTooLarge, brief
 from cutgroups.group import MAX_DEGREE, trivial_group
 from cutgroups.rationality import group_rationality
-from cutgroups.structure import is_solvable, sylow
+from cutgroups.rationality import sylow
+from cutgroups.structure import is_solvable
 from cutgroups.constructions import (
     abelian,
     alternating,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pickle
@@ -37,6 +38,17 @@ from cutgroups.constructions import cyclic, symmetric
 
 def record_for(rid, G, order=None):
     return GroupRecord(id=rid, group=G, expected_order=order)
+
+
+def test_make_corpus_reproduces_the_bundled_corpus(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", script)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path / "bundled.corpus")
+    module.main()
+    assert module.OUT.read_bytes() == bundled_corpus_path().read_bytes()
 
 
 class TestParseCorpus:

@@ -19,7 +19,8 @@ from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
 from cutgroups.group import PermGroup, _Chain, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, cyclic, iterated_wreath, symmetric
-from cutgroups.structure import conjugacy_classes, p_core
+from cutgroups.rationality import p_core
+from cutgroups.structure import conjugacy_classes
 
 
 def brute_closure(gens):
@@ -262,7 +263,7 @@ class TestOneEnumeration:
         monkeypatch.setattr(PermGroup, "closure", recording)
         run_survey(parse_corpus(bundled_corpus_path()))
         assert cli.main(["analyze", "--family", "symmetric:5"]) == 0
-        assert p_core(symmetric(4), 2).order() == 4  # core_of reads P once
+        assert p_core(symmetric(4), 2).order() == 4  # reads G and P once each
         capsys.readouterr()
         ids = [id(G) for G in groups]
         assert len(ids) == len(set(ids)) > 172

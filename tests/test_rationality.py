@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    class_fields,
     exponent,
     field_degree,
     is_cut_bruteforce,
+    is_cut_by_classes,
     is_rational_bruteforce,
     is_semirational_bruteforce,
+    qg_degree_bruteforce,
 )
 from cutgroups.alternating import alternating_classes, alternating_power_conjugate
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
@@ -36,7 +40,7 @@ from cutgroups.rationality import (
     qg_degree_alternating,
     residues_coprime,
 )
-from cutgroups.structure import conjugacy_classes
+from cutgroups.structure import conjugacy_classes, p_part
 from cutgroups.constructions import (
     abelian,
     alternating,
@@ -199,6 +203,12 @@ class TestBruteforceOracle:
             report = group_rationality(G)
             assert report.is_rational == is_rational_bruteforce(G), record.id
             assert report.is_semirational == is_semirational_bruteforce(G), record.id
+            assert report.is_cut == is_cut_by_classes(G), record.id
+            fields = Counter(
+                (r.field_degree, r.field_imaginary) for r in report.class_reports
+            )
+            assert fields == class_fields(G), record.id
+            assert report.qg_degree == qg_degree_bruteforce(G), record.id
             checked += 1
         assert checked == 169
 
@@ -370,7 +380,7 @@ class TestClassConjugators:
                 c = table.class_index(rep)
                 walk[c] = walk.get(c, False) or r.is_inverse_semirational
             for c, o in enumerate(table.rep_orders):
-                if o == 1 or not rationality._is_power_of(o, 3):
+                if o == 1 or p_part(o, 3) != o:
                     continue
                 member = next(
                     w for w in map(a.G.encoding.encode, class_conjugators(a.G, table.reps[c]))

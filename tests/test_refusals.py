@@ -4,6 +4,7 @@ wrote is read by ``errors.read_int``."""
 
 import errno
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,18 +47,33 @@ def test_read_int_shows_a_refused_text_short(text, shown):
 
 # Inputs that were echoed whole before every refusal went through excerpt
 # or brief, each with its whole refusal line: (argv, corpus text, message).
-# A corpus text is written to a file whose path ends argv.
+# A corpus text is written to DEEP, a path of 15 nested 200-character
+# directories below the test's working directory, which then ends argv.
+DEEP = Path(*["d" * 200] * 15, "refused.corpus")
+ONE_RECORD = "group g\ndegree 2\ngen (1 2)\nend\n"
 REFUSALS = [
     (["analyze", "--family", X], None,
      f"cutgroups: unknown family {X_SHOWN} (known: {KNOWN})"),
     (["analyze", "--family", "abelian:2," + X], None,
      f"cutgroups: non-integer parameter {X_SHOWN}"),
     (["an-fields", "--max-n", "1" * 5000], None,
-     "argument --max-n: must be an integer, got <5000 digits>"),
+     "cutgroups an-fields: error: argument --max-n: must be an integer, got <5000 digits>"),
     (["an-fields", "--max-n", "1" * 4000], None,
      "cutgroups: --max-n must be in 4..14, got <4000 digits>"),
     (["an-fields", "--max-n", "x" + X], None,
-     f"argument --max-n: must be an integer, got {X_SHOWN}"),
+     f"cutgroups an-fields: error: argument --max-n: must be an integer, got {X_SHOWN}"),
+    (["analyze", "--family", "cyclic:3", "--format", X], None,
+     f"cutgroups analyze: error: argument --format: invalid choice: {X_SHOWN}"
+     " (choose from 'json', 'csv', 'text')"),
+    (["analyze", "--family", "cyclic:3", "--format", "a " * 50000], None,
+     "cutgroups analyze: error: argument --format: invalid choice:"
+     " 'a a a a a a a a a a a a ..."),
+    ([X], None, f"cutgroups: error: argument command: invalid choice: {X_SHOWN}"
+     " (choose from 'analyze', 'survey', 'construct', 'an-fields')"),
+    (["analyze", "--family", "cyclic:3", X], None,
+     f"cutgroups: error: unrecognized arguments: {X_SHOWN}"),
+    (["analyze", "--file"], ONE_RECORD + ONE_RECORD.replace(" g", " h"),
+     "cutgroups: 'dddddddddddd...efused.corpus': expected exactly one record, found 2"),
     (["survey", "--corpus", X], None, "cutgroups: [Errno {}] {}: {}".format(
         errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), X_SHOWN)),
     (["survey", "--corpus"], "group g\ndegree 5\ngen (1 " + "1" * 5000 + ")\nend\n",
@@ -82,23 +98,24 @@ REFUSALS = [
 @pytest.mark.parametrize(
     "argv,corpus,message", REFUSALS,
     ids=["family", "abelian", "max-n-5000-digits", "max-n-4000-digits", "max-n-x",
+         "format", "format-words", "command", "unrecognized", "file-records",
          "corpus-path", "gen-5000-digits", "gen-4000-digits", "gen-repeated",
          "gen-not-cycles", "record-no-degree", "keyword", "degree-x"],
 )
-def test_refusal_is_one_short_line(argv, corpus, message, tmp_path, capsys):
+def test_refusal_is_one_short_line(argv, corpus, message, tmp_path, monkeypatch, capsys):
     if corpus is not None:
-        path = tmp_path / "refused.corpus"
-        path.write_text(corpus)
-        argv = argv + [str(path)]
+        monkeypatch.chdir(tmp_path)
+        DEEP.parent.mkdir(parents=True)
+        DEEP.write_text(corpus)
+        argv = argv + [str(DEEP)]
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse refuses an option before main returns
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    err = captured.err
-    if err.startswith("usage: "):
-        err = err.split(f"cutgroups {argv[0]}: error: ")[1]
+    assert len(captured.err.encode()) < 600  # argparse's usage lines come first
+    err = captured.err.splitlines(keepends=True)[-1]
     assert err == message + "\n"
     assert len(err.encode()) < 200
 

@@ -20,19 +20,16 @@ from cutgroups.perm import (
     then_images,
 )
 from cutgroups import structure
-from cutgroups.rationality import Analysis
+from cutgroups.rationality import Analysis, p_core, sylow
 from cutgroups.structure import (
     ClassTable,
     abelianization_exponent_divides,
     conjugacy_classes,
-    core_of,
     derived_subgroup,
     is_elementary_abelian,
     is_solvable,
-    p_core,
     p_part,
     prime_divisors,
-    sylow,
 )
 from cutgroups.constructions import (
     abelian,
@@ -340,7 +337,7 @@ class TestPermutationsHoldTuples:
         for p in prime_divisors(G.order()):
             P = a.sylow(p)
             made += P.generators
-            made += core_of(P, a.table).generators
+            made += p_core(G, p).generators
         return made
 
     @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
@@ -529,6 +526,21 @@ class TestSylowAgainstEagerScan:
                 assert [g.images for g in sylow(G, p).generators] == expected, (record.id, p)
                 checked += 1
         assert checked > 100
+
+
+@pytest.mark.parametrize("subgroup", [sylow, p_core])
+class TestSubgroupRefusals:
+    """sylow and p_core refuse as Analysis does: a p that is not prime
+    before any enumeration, then a group above the cap for every prime."""
+
+    def test_non_prime_before_the_cap(self, subgroup):
+        with pytest.raises(BadParam, match="p must be prime, got 4$"):
+            subgroup(symmetric(6), 4, cap=100)
+
+    @pytest.mark.parametrize("p", [2, 7], ids=["divides", "coprime"])
+    def test_cap_for_every_prime(self, subgroup, p):
+        with pytest.raises(CapExceeded):
+            subgroup(symmetric(6), p, cap=100)
 
 
 def conjugation_closed_core(G, P):
