@@ -69,18 +69,27 @@ def _checks_argument(known: tuple[str, ...]):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose refusals stay one short line: argparse quotes
-    a refused value or a stray argument whole, so each word of its message
-    longer than an excerpt shows as one, and the words past the sixteenth
-    are dropped.  Subparsers are built by the same class."""
+    """An ArgumentParser whose refusals stay one short line: where argparse
+    echoes a typed token that ``excerpt`` would cut, as typed or as its
+    repr, the excerpt shows, and stray arguments show as ``excerpt`` of
+    their list.  Subparsers are built by the same class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._typed = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {excerpt(extras)}")
+        return parsed
 
     def error(self, message: str):
-        words = [
-            w if len(w) <= 30 else excerpt(w.strip("'")) for w in message.split(" ")
-        ]
-        if len(words) > 16:
-            words[16:] = ["..."]
-        super().error(" ".join(words))
+        for token in sorted(getattr(self, "_typed", ()), key=len, reverse=True):
+            shown = excerpt(token)
+            if shown != repr(token):
+                message = message.replace(repr(token), shown).replace(token, shown)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

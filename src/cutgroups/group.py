@@ -330,7 +330,7 @@ class PermGroup:
 
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
-        when |G| > cap (checked against the exact chain order up front).
+        when |G| > cap (within_cap, up front).
 
         ``right[e][i]`` is the index of ``words[i] · generators[e]``, and
         ``words[j] = words[parent[j]] · generators[edge[j]]`` with
@@ -340,10 +340,16 @@ class PermGroup:
         makes no int of its own; ``parent`` and ``edge`` are
         ``array('i')``.
         """
+        self.within_cap(cap)
+        return _closure(self.encoding, self.generators)
+
+    def within_cap(self, cap: int = DEFAULT_CAP) -> int:
+        """|G|, or CapExceeded when it is above ``cap``: the package's one
+        cap check, which closure() makes before it enumerates."""
         order = self.order()
         if order > cap:
             raise CapExceeded(order, cap)
-        return _closure(self.encoding, self.generators)
+        return order
 
     def elements(self, cap: int = DEFAULT_CAP) -> list[Permutation]:
         """The words of ``closure(cap)`` as Permutations, in the same

@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
 from .errors import BadParam, BoundExceeded
-from .group import DEFAULT_CAP, PermGroup
+from .group import DEFAULT_CAP, PermGroup, trivial_group
 from .structure import (
     ClassTable,
     _normal_closure,
@@ -249,10 +249,17 @@ class Analysis:
 
     def sylow(self, p: int) -> PermGroup:
         """A Sylow p-subgroup by normalizer growth (structure._sylow); a p
-        that is not prime is refused before the table is built."""
+        that is not prime is refused before the table is built, and a p
+        that does not divide |G| gives the trivial group with no table."""
         if not is_prime(p):
             raise BadParam(f"p must be prime, got {p}")
-        return self._once(("sylow", p), lambda: _sylow(self.table, p))
+
+        def compute() -> PermGroup:
+            if self.G.within_cap(self.cap) % p:
+                return trivial_group(self.G.degree)
+            return _sylow(self.table, p)
+
+        return self._once(("sylow", p), compute)
 
     def sylow_analysis(self, p: int) -> Analysis:
         return self._once(("analysis", p), lambda: Analysis(self.sylow(p), self.cap))

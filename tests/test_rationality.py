@@ -436,12 +436,18 @@ def test_each_fact_is_computed_once(monkeypatch):
     G = symmetric(4)
     sylow_calls = []
     table_groups = []
+    trivial_degrees = []
     real_sylow = rationality._sylow
     real_classes = rationality.conjugacy_classes
+    real_trivial = rationality.trivial_group
 
     def counting_sylow(table, p):
         sylow_calls.append((table.group, p))
         return real_sylow(table, p)
+
+    def counting_trivial(degree):
+        trivial_degrees.append(degree)
+        return real_trivial(degree)
 
     def counting_classes(H, cap):
         table_groups.append(H)
@@ -449,12 +455,15 @@ def test_each_fact_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(rationality, "_sylow", counting_sylow)
     monkeypatch.setattr(rationality, "conjugacy_classes", counting_classes)
+    monkeypatch.setattr(rationality, "trivial_group", counting_trivial)
     report = group_rationality(G, DEFAULT_CAP, tuple(CHECKS))
 
     assert list(report.check_results) == list(CHECKS)
     assert all(r.status != SKIP for r in report.check_results.values())
     assert all(H is G for H, _ in sylow_calls)
-    assert sorted(p for _, p in sylow_calls) == [3, 5, 7]
+    # 5 and 7 do not divide 24: one trivial Sylow each, with no scan
+    assert sorted(p for _, p in sylow_calls) == [3]
+    assert trivial_degrees == [4, 4]
     assert sum(H is G for H in table_groups) == 1
 
 

@@ -47,7 +47,8 @@ def test_read_int_shows_a_refused_text_short(text, shown):
 
 # Inputs that were echoed whole before every refusal went through excerpt
 # or brief, each with its whole refusal line: (argv, corpus text, message).
-# A corpus text is written to DEEP, a path of 15 nested 200-character
+# The `checks` entry is a message of the package's own that argparse's
+# bounding must leave whole.  A corpus text is written to DEEP, a path of 15 nested 200-character
 # directories below the test's working directory, which then ends argv.
 DEEP = Path(*["d" * 200] * 15, "refused.corpus")
 ONE_RECORD = "group g\ndegree 2\ngen (1 2)\nend\n"
@@ -67,11 +68,19 @@ REFUSALS = [
      " (choose from 'json', 'csv', 'text')"),
     (["analyze", "--family", "cyclic:3", "--format", "a " * 50000], None,
      "cutgroups analyze: error: argument --format: invalid choice:"
-     " 'a a a a a a a a a a a a ..."),
+     " 'a a a a a a ... a a a a a a ' (choose from 'json', 'csv', 'text')"),
+    (["analyze", "--family", "cyclic:3", "--f=" + X], None,
+     "cutgroups analyze: error: ambiguous option: '--f=xxxxxxxx...xxxxxxxxxxxxx'"
+     " could match --family, --file, --format"),
     ([X], None, f"cutgroups: error: argument command: invalid choice: {X_SHOWN}"
      " (choose from 'analyze', 'survey', 'construct', 'an-fields')"),
     (["analyze", "--family", "cyclic:3", X], None,
-     f"cutgroups: error: unrecognized arguments: {X_SHOWN}"),
+     f"cutgroups: error: unrecognized arguments: [{X_SHOWN}]"),
+    (["analyze", "--family", "cyclic:3"] + ["a"] * 50000, None,
+     "cutgroups: error: unrecognized arguments: ['a', 'a', 'a', 'a', 'a', 'a', ...]"),
+    (["survey", "--corpus", "c", "--checks", "a,b,c,d"], None,
+     "cutgroups survey: error: argument --checks: unknown checks ['a', 'b', 'c', 'd'];"
+     " known: bmp, tent, gow_primes, cut_primes, hegedus, ppe, q3, sylow3, lemma61, syl2"),
     (["analyze", "--file"], ONE_RECORD + ONE_RECORD.replace(" g", " h"),
      "cutgroups: 'dddddddddddd...efused.corpus': expected exactly one record, found 2"),
     (["survey", "--corpus", X], None, "cutgroups: [Errno {}] {}: {}".format(
@@ -98,7 +107,8 @@ REFUSALS = [
 @pytest.mark.parametrize(
     "argv,corpus,message", REFUSALS,
     ids=["family", "abelian", "max-n-5000-digits", "max-n-4000-digits", "max-n-x",
-         "format", "format-words", "command", "unrecognized", "file-records",
+         "format", "format-words", "ambiguous", "command", "unrecognized",
+         "unrecognized-many", "checks", "file-records",
          "corpus-path", "gen-5000-digits", "gen-4000-digits", "gen-repeated",
          "gen-not-cycles", "record-no-degree", "keyword", "degree-x"],
 )
@@ -114,8 +124,10 @@ def test_refusal_is_one_short_line(argv, corpus, message, tmp_path, monkeypatch,
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert len(captured.err.encode()) < 600  # argparse's usage lines come first
-    err = captured.err.splitlines(keepends=True)[-1]
+    err = captured.err
+    if err.startswith("usage: "):  # argparse's usage lines come first
+        assert len(err.encode()) < 600
+        err = err[err.index("\ncutgroups") + 1:]
     assert err == message + "\n"
     assert len(err.encode()) < 200
 

@@ -480,6 +480,12 @@ class TestSylow:
     def test_p_not_dividing(self):
         assert sylow(cyclic(3), 2).order() == 1
 
+    def test_p_not_dividing_builds_no_table(self):
+        a = Analysis(symmetric(8))
+        P = a.sylow(11)
+        assert [g.images for g in P.generators] == [tuple(range(8))]
+        assert "table" not in a.__dict__  # the cached_property never ran
+
     def test_s4_two_part(self):
         P = sylow(symmetric(4), 2)
         assert P.order() == 8
