@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotCoprime
-from .perm import Permutation
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,6 @@ class AltClassDescriptor:
     @property
     def rep_order(self) -> int:
         return math.lcm(*self.cycle_type)
-
-    @property
-    def rep(self) -> Permutation:
-        """Cycles on consecutive points, longest part first."""
-        images = list(range(self.n))
-        start = 0
-        for length in self.cycle_type:
-            for i in range(length):
-                images[start + i] = start + (i + 1) % length
-            start += length
-        return Permutation(images)
 
 
 def _partitions(n: int, largest: int | None = None):

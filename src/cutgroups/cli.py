@@ -61,7 +61,7 @@ def _checks_argument(known: tuple[str, ...]):
         unknown = [n for n in names if n not in known]
         if unknown:
             raise argparse.ArgumentTypeError(
-                f"unknown checks {excerpt(unknown)}; known: {', '.join(known)}"
+                f"unknown checks {excerpt(','.join(unknown))}; known: {', '.join(known)}"
             )
         return names
 

@@ -150,7 +150,7 @@ def wreath(A: PermGroup, B: PermGroup) -> PermGroup:
         while stack:
             j = stack.pop()
             for g in B.generators:
-                k = g.apply(j)
+                k = g.images[j]
                 if k not in seen:
                     seen.add(k)
                     stack.append(k)
@@ -161,12 +161,12 @@ def wreath(A: PermGroup, B: PermGroup) -> PermGroup:
         for g in A.generators:
             images = list(range(degree))
             for i in range(m):
-                images[offset + i] = offset + g.apply(i)
+                images[offset + i] = offset + g.images[i]
             gens.append(Permutation(images))
     for g in B.generators:
         images = [0] * degree
         for j in range(n):
-            target = g.apply(j)
+            target = g.images[j]
             for i in range(m):
                 images[j * m + i] = target * m + i
         gens.append(Permutation(images))
@@ -184,7 +184,7 @@ def sylnorm(p: int) -> PermGroup:
     """Normalizer of a Sylow p-subgroup in the symmetric group of degree p:
     the Frobenius group of order p(p-1), generated on Z/p by the p-cycle
     i -> i+1 and the multiplication by the least primitive root."""
-    if p > 13:  # before the trial division, which a huge p would stall
+    if p > 13:  # the family's range, checked before the primality test
         raise BadParam(f"sylnorm supports p <= 13, got {brief(p)}")
     if not is_prime(p):
         raise BadParam(f"sylnorm needs a prime, got {p}")

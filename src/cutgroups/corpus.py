@@ -208,11 +208,13 @@ def _finish_record(current: dict, gen_lines: list[tuple[int, str]]) -> GroupReco
 
 def _analyze(
     record: GroupRecord, cap: int, checks: tuple[str, ...], syl2: bool
-) -> dict:
+) -> tuple[str, dict]:
     """Analyze ``record.group`` under ``cap``, running ``checks``, and the
-    Sylow 2-subgroup of a cut group if ``syl2``.  A cap overrun makes the
-    record skipped; any other exception makes it an error, "TypeName:
-    message", so one bad record never ends the survey."""
+    Sylow 2-subgroup of a cut group if ``syl2``.  Returns the report list
+    the record goes to and its entry there: its row under "rows"; under
+    "skipped", on a cap overrun, ``{"id", "reason"}``; and under "errors",
+    on any other exception, ``{"id", "error"}`` with "TypeName: message",
+    so one bad record never ends the survey."""
     rid = record.id
     try:
         analysis = Analysis(record.group, cap)
@@ -221,17 +223,14 @@ def _analyze(
         if syl2 and report.is_cut:
             sylow2_cut = analysis.sylow_analysis(2).report.is_cut
     except CapExceeded as e:
-        return {"id": rid, "skipped": str(e)}
+        return "skipped", {"id": rid, "reason": str(e)}
     except Exception as e:
-        return {"id": rid, "error": f"{type(e).__name__}: {e}"}
-    return {
+        return "errors", {"id": rid, "error": f"{type(e).__name__}: {e}"}
+    return "rows", {
         "id": rid,
-        "row": {
-            "id": rid,
-            **report.summary(),
-            "checks": {n: r.as_dict() for n, r in results.items()},
-            "sylow2_cut": sylow2_cut,
-        },
+        **report.summary(),
+        "checks": {n: r.as_dict() for n, r in results.items()},
+        "sylow2_cut": sylow2_cut,
     }
 
 
@@ -273,26 +272,15 @@ def run_survey(
     else:
         outcomes = list(map(analyze, ordered))
 
-    rows: list[dict] = []
-    skipped: list[dict] = []
-    failures: list[dict] = []
-    errors: list[dict] = []
-    for outcome in outcomes:
-        if "skipped" in outcome:
-            skipped.append({"id": outcome["id"], "reason": outcome["skipped"]})
-            continue
-        if "error" in outcome:
-            errors.append({"id": outcome["id"], "error": outcome["error"]})
-            continue
-        row = outcome["row"]
-        rows.append(row)
-        for name, result in row["checks"].items():
-            if result["status"] == "FAIL":
-                failures.append(
-                    {"id": row["id"], "check": name, "detail": result["detail"]}
-                )
-
-    aggregates = _aggregate(rows, checks)
+    entries: dict[str, list[dict]] = {"rows": [], "skipped": [], "errors": []}
+    for name, entry in outcomes:
+        entries[name].append(entry)
+    failures = [
+        {"id": row["id"], "check": name, "detail": result["detail"]}
+        for row in entries["rows"]
+        for name, result in row["checks"].items()
+        if result["status"] == "FAIL"
+    ]
     return SurveyReport(
         corpus=label,
         config={
@@ -300,11 +288,9 @@ def run_survey(
             "checks": list(config.checks),
             "workers": config.workers,
         },
-        rows=rows,
-        aggregates=aggregates,
+        aggregates=_aggregate(entries["rows"], checks),
         failures=failures,
-        skipped=skipped,
-        errors=errors,
+        **entries,
     )
 
 
@@ -421,34 +407,28 @@ def _survey_text(payload: dict) -> str:
         f"  semirational:   {agg['semirational_count']:4d}  ({agg['semirational_pct']}%)",
         "",
     ]
-    if agg["checks"]:
-        lines.append("check results (pass/fail/skip):")
-        for name, tally in agg["checks"].items():
-            lines.append(
-                f"  {name:12s} {tally['PASS']:4d} / {tally['FAIL']:4d} / {tally['SKIP']:4d}"
-            )
-        lines.append("")
+
+    def block(header: str, items: list[str]) -> None:
+        if items:
+            lines.extend([header, *items, ""])
+
+    block("check results (pass/fail/skip):", [
+        f"  {name:12s} {tally['PASS']:4d} / {tally['FAIL']:4d} / {tally['SKIP']:4d}"
+        for name, tally in agg["checks"].items()
+    ])
     if agg["cut_with_noncut_sylow2"]:
         lines.append(
             "cut groups with a non-cut Sylow 2-subgroup (informational): "
             + ", ".join(agg["cut_with_noncut_sylow2"])
         )
         lines.append("")
-    if payload["failures"]:
-        lines.append("FAILURES (potential counterexamples):")
-        for f in payload["failures"]:
-            lines.append(f"  {f['id']} [{f['check']}]: {f['detail']}")
-        lines.append("")
-    if payload["skipped"]:
-        lines.append("skipped:")
-        for s in payload["skipped"]:
-            lines.append(f"  {s['id']}: {s['reason']}")
-        lines.append("")
-    if "errors" in payload:
-        lines.append("ERRORS (records that could not be analyzed):")
-        for e in payload["errors"]:
-            lines.append(f"  {e['id']}: {e['error']}")
-        lines.append("")
+    block("FAILURES (potential counterexamples):", [
+        f"  {f['id']} [{f['check']}]: {f['detail']}" for f in payload["failures"]
+    ])
+    block("skipped:", [f"  {s['id']}: {s['reason']}" for s in payload["skipped"]])
+    block("ERRORS (records that could not be analyzed):", [
+        f"  {e['id']}: {e['error']}" for e in payload.get("errors", [])
+    ])
     return "\n".join(lines)
 
 

@@ -36,7 +36,7 @@ _BYTE_POINTS = bytes(range(256))
 class Permutation:
     """An immutable bijection of {1..n}, n fixed at construction."""
 
-    __slots__ = ("_images", "_order")
+    __slots__ = ("_images",)
 
     def __init__(self, images: Sequence[int]):
         """Validate the 0-based images: every point an integer, each of
@@ -57,7 +57,6 @@ class Permutation:
         if bad:
             raise ValueError(f"not a permutation of 0..{n - 1}: {excerpt(img)}")
         self._images = img
-        self._order = None
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
@@ -65,7 +64,6 @@ class Permutation:
         validation; internal products only, never user input."""
         p = object.__new__(cls)
         p._images = images
-        p._order = None
         return p
 
     # -- construction helpers ------------------------------------------------
@@ -106,10 +104,6 @@ class Permutation:
     def images(self) -> tuple[int, ...]:
         """0-based image tuple; images[i] is where point i goes."""
         return self._images
-
-    def apply(self, point: int) -> int:
-        """Image of a 0-based point."""
-        return self._images[point]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
@@ -172,25 +166,7 @@ class Permutation:
 
     def order(self) -> int:
         """lcm of cycle lengths; smallest k >= 1 with p**k the identity."""
-        if self._order is None:
-            o = 1
-            for cycle in self.cycles():
-                o = math.lcm(o, len(cycle))
-            self._order = o
-        return self._order
-
-    def is_even(self) -> bool:
-        """True for even permutations (product of an even number of swaps)."""
-        return (self.degree - len(self.cycles()) - self.fixed_point_count()) % 2 == 0
-
-    def fixed_point_count(self) -> int:
-        return sum(1 for i, j in enumerate(self._images) if i == j)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, in decreasing order."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths.extend([1] * self.fixed_point_count())
-        return tuple(sorted(lengths, reverse=True))
+        return math.lcm(*map(len, self.cycles()))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -21,9 +21,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
-from .errors import BadParam, BoundExceeded
+from .errors import BadParam, BoundExceeded, brief
 from .group import DEFAULT_CAP, PermGroup, trivial_group
 from .structure import (
+    PRIME_BOUND,
     ClassTable,
     _normal_closure,
     _sylow,
@@ -249,8 +250,11 @@ class Analysis:
 
     def sylow(self, p: int) -> PermGroup:
         """A Sylow p-subgroup by normalizer growth (structure._sylow); a p
-        that is not prime is refused before the table is built, and a p
-        that does not divide |G| gives the trivial group with no table."""
+        that is not prime, or not below PRIME_BOUND, is refused before the
+        table is built, and a p that does not divide |G| gives the trivial
+        group with no table."""
+        if p >= PRIME_BOUND:
+            raise BadParam(f"p must be below {PRIME_BOUND}, got {brief(p)}")
         if not is_prime(p):
             raise BadParam(f"p must be prime, got {p}")
 

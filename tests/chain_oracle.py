@@ -42,7 +42,7 @@ class _ChainLevel:
         """Strip p through the chain; identity residue means membership."""
         if self.point is None:
             return p
-        target = p.apply(self.point)
+        target = p.images[self.point]
         if target == self.point:
             return self.stab.sift(p)
         rep = self.transversal.get(target)
@@ -61,7 +61,7 @@ class _ChainLevel:
                 i for i, j in enumerate(g.images) if i != j
             )
             self.stab = _ChainLevel(self.degree)
-        if g.apply(self.point) == self.point:
+        if g.images[self.point] == self.point:
             self.stab._add_strong(g)
         else:
             self.gens.append(g)
@@ -76,7 +76,7 @@ class _ChainLevel:
             beta = queue.pop(0)
             rep = transversal[beta]
             for g in gens:
-                gamma = g.apply(beta)
+                gamma = g.images[beta]
                 if gamma not in transversal:
                     transversal[gamma] = compose(rep, g)
                     queue.append(gamma)
@@ -89,7 +89,7 @@ class _ChainLevel:
         for beta in sorted(self.transversal):
             u_beta = self.transversal[beta]
             for g in gens:
-                gamma = g.apply(beta)
+                gamma = g.images[beta]
                 schreier = compose(
                     compose(u_beta, g), self.transversal[gamma].inverse()
                 )

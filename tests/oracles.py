@@ -8,6 +8,12 @@ reads each of these facts off the class table instead.
 ``alternating_power_conjugate`` decides a split class of A_n by building
 the conjugator from rep**k to rep and taking its parity; the package reads
 the same answer off the Jacobi symbols of k over the cycle lengths.
+``alternating_rep`` builds a descriptor's representative, and ``is_even``,
+``fixed_point_count`` and ``cycle_type`` read a permutation's parity,
+fixed points and cycle type; no command needs any of them.
+
+``is_prime_by_trial_division`` tries every odd divisor up to sqrt n; the
+package runs Miller-Rabin, exact below its ``PRIME_BOUND``.
 
 ``field_degree`` tests every unit mod L against every condition at once;
 the package narrows the units one condition at a time.
@@ -146,6 +152,33 @@ def are_conjugate(
     return table.class_index(x) == table.class_index(y)
 
 
+def is_even(p: Permutation) -> bool:
+    """True for even permutations (product of an even number of swaps)."""
+    return (p.degree - len(p.cycles()) - fixed_point_count(p)) % 2 == 0
+
+
+def fixed_point_count(p: Permutation) -> int:
+    return sum(1 for i, j in enumerate(p.images) if i == j)
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Cycle lengths including fixed points, in decreasing order."""
+    lengths = [len(c) for c in p.cycles()]
+    lengths.extend([1] * fixed_point_count(p))
+    return tuple(sorted(lengths, reverse=True))
+
+
+def alternating_rep(d: AltClassDescriptor) -> Permutation:
+    """Cycles on consecutive points, longest part first."""
+    images = list(range(d.n))
+    start = 0
+    for length in d.cycle_type:
+        for i in range(length):
+            images[start + i] = start + (i + 1) % length
+        start += length
+    return Permutation(images)
+
+
 def _cycles_canonical(p: Permutation) -> list[tuple[int, ...]]:
     """All cycles including fixed points, each starting at its least point,
     longest first (ties by least point)."""
@@ -168,7 +201,7 @@ def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
         raise NotCoprime(f"k={k} shares a factor with the element order {order}")
     if not d.splits:
         return True
-    rep = d.rep
+    rep = alternating_rep(d)
     target_cycles = _cycles_canonical(rep)
     power_cycles = _cycles_canonical(rep ** k)
     # split type: parts are distinct, so cycles match up by length alone
@@ -177,7 +210,22 @@ def alternating_power_conjugate(d: AltClassDescriptor, k: int) -> bool:
         for a, b in zip(pc, tc):
             images[a] = b
     sigma = Permutation(images)
-    return sigma.is_even()
+    return is_even(sigma)
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def _norm_residue(k: int, n: int) -> int:

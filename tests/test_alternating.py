@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import pytest
@@ -12,6 +11,7 @@ from cutgroups.alternating import (
     alternating_power_conjugate,
 )
 from cutgroups.errors import NotCoprime
+from cutgroups.perm import Permutation
 from cutgroups.structure import conjugacy_classes
 from cutgroups.constructions import alternating
 from cutgroups.rationality import qg_degree_alternating, residues_coprime
@@ -43,8 +43,9 @@ class TestDescriptors:
     def test_reps_have_stated_type(self):
         for n in range(3, 9):
             for d in alternating_classes(n):
-                assert d.rep.cycle_type() == d.cycle_type
-                assert d.rep.is_even()
+                rep = oracles.alternating_rep(d)
+                assert oracles.cycle_type(rep) == d.cycle_type
+                assert oracles.is_even(rep)
 
     def test_all_types_have_even_parity(self):
         for d in alternating_classes(7):
@@ -84,7 +85,7 @@ class TestPowerConjugate:
         expected = sum(2 if d.splits else 1 for d in alternating_classes(n))
         assert len(table) == expected
         for d in alternating_classes(n):
-            rep = d.rep
+            rep = oracles.alternating_rep(d)
             c = table.class_index(rep)
             for k in residues_coprime(d.rep_order):
                 assert alternating_power_conjugate(d, k) == (
@@ -107,9 +108,9 @@ class TestPowerConjugate:
         def refuse(*args):
             raise AssertionError("a Permutation was built")
 
-        # the package exports the family constructor under the module's name
-        module = importlib.import_module("cutgroups.alternating")
-        monkeypatch.setattr(module, "Permutation", refuse)
+        # every Permutation is made by __init__ or by _trusted
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(Permutation, "_trusted", refuse)
         for d in alternating_classes(14):
             for k in residues_coprime(d.rep_order):
                 alternating_power_conjugate(d, k)

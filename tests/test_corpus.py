@@ -177,9 +177,8 @@ class TestRunSurvey:
 
         monkeypatch.setattr(PermGroup, "elements", no_elements)
         for r in records:
-            outcome = corpus._analyze(r, DEFAULT_CAP, tuple(CHECKS), syl2=True)
-            assert "error" not in outcome, outcome
-            assert "row" in outcome
+            kind, entry = corpus._analyze(r, DEFAULT_CAP, tuple(CHECKS), syl2=True)
+            assert kind == "rows", entry
         assert len(records) == 172
 
     def test_serial_survey_reuses_each_record_chain(self, monkeypatch):

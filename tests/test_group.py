@@ -459,13 +459,13 @@ class TestChainMemory:
 
 
 @st.composite
-def small_closure_generators(draw):
+def small_closure_generators(draw, moved: int = 7):
     """1-3 random generators of degree 1-9, at offset 0 or 250 like
-    generators_and_queries, that move at most 7 points between them, so
-    the group has at most 7! elements."""
+    generators_and_queries, that move at most ``moved`` points between
+    them, so the group has at most moved! elements."""
     n = draw(st.integers(min_value=1, max_value=9))
     offset = draw(st.sampled_from(OFFSETS))
-    support = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=7))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=moved))
 
     def on_support(images):
         out = list(range(offset + n))

@@ -17,6 +17,7 @@ from oracles import (
     is_semirational_bruteforce,
     qg_degree_bruteforce,
 )
+from test_group import small_closure_generators
 from cutgroups.alternating import alternating_classes, alternating_power_conjugate
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, BoundExceeded
@@ -194,23 +195,31 @@ class TestBruteforceOracle:
         assert is_rational_bruteforce(G) is rational
         assert is_semirational_bruteforce(G) is semirational
 
+    @staticmethod
+    def assert_matches_definitions(G, label):
+        report = group_rationality(G)
+        assert report.is_rational == is_rational_bruteforce(G), label
+        assert report.is_semirational == is_semirational_bruteforce(G), label
+        assert report.is_cut == is_cut_by_classes(G), label
+        fields = Counter((r.field_degree, r.field_imaginary) for r in report.class_reports)
+        assert fields == class_fields(G), label
+        assert report.qg_degree == qg_degree_bruteforce(G), label
+
     def test_definition_oracles_match_on_bundled_groups(self):
         checked = 0
         for record in parse_corpus(bundled_corpus_path()):
-            G = record.group
-            if G.order() > 400:
-                continue
-            report = group_rationality(G)
-            assert report.is_rational == is_rational_bruteforce(G), record.id
-            assert report.is_semirational == is_semirational_bruteforce(G), record.id
-            assert report.is_cut == is_cut_by_classes(G), record.id
-            fields = Counter(
-                (r.field_degree, r.field_imaginary) for r in report.class_reports
-            )
-            assert fields == class_fields(G), record.id
-            assert report.qg_degree == qg_degree_bruteforce(G), record.id
-            checked += 1
+            if record.group.order() <= 400:
+                self.assert_matches_definitions(record.group, record.id)
+                checked += 1
         assert checked == 169
+
+    # at most 5 moved points: the oracles conjugate with every element, so
+    # a group of 7! elements would take about a minute
+    @settings(max_examples=100, deadline=None)
+    @given(small_closure_generators(moved=5))
+    def test_definition_oracles_match_on_random_groups(self, gens):
+        G = PermGroup(gens[0].degree, gens)
+        self.assert_matches_definitions(G, gens)
 
 
 class TestQgDegree:

@@ -19,6 +19,7 @@ from cutgroups.perm import parse_permutation
 X = "x" * 100000
 X_SHOWN = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 KNOWN = ", ".join(sorted(FAMILIES))
+CHECKS = "known: bmp, tent, gow_primes, cut_primes, hegedus, ppe, q3, sylow3, lemma61, syl2"
 
 
 @pytest.mark.parametrize("text,value", [
@@ -79,8 +80,13 @@ REFUSALS = [
     (["analyze", "--family", "cyclic:3"] + ["a"] * 50000, None,
      "cutgroups: error: unrecognized arguments: ['a', 'a', 'a', 'a', 'a', 'a', ...]"),
     (["survey", "--corpus", "c", "--checks", "a,b,c,d"], None,
-     "cutgroups survey: error: argument --checks: unknown checks ['a', 'b', 'c', 'd'];"
-     " known: bmp, tent, gow_primes, cut_primes, hegedus, ppe, q3, sylow3, lemma61, syl2"),
+     f"cutgroups survey: error: argument --checks: unknown checks 'a,b,c,d'; {CHECKS}"),
+    (["survey", "--corpus", "c", "--checks", "a" * 51 + ",b,c,d,e,f,g,h"], None,
+     "cutgroups survey: error: argument --checks:"
+     f" unknown checks 'aaaaaaaaaaaa...b,c,d,e,f,g,h'; {CHECKS}"),
+    (["survey", "--corpus", "c", "--checks", ",".join(c * 40 for c in "abcdef")], None,
+     "cutgroups survey: error: argument --checks:"
+     f" unknown checks 'aaaaaaaaaaaa...fffffffffffff'; {CHECKS}"),
     (["analyze", "--file"], ONE_RECORD + ONE_RECORD.replace(" g", " h"),
      "cutgroups: 'dddddddddddd...efused.corpus': expected exactly one record, found 2"),
     (["survey", "--corpus", X], None, "cutgroups: [Errno {}] {}: {}".format(
@@ -108,7 +114,8 @@ REFUSALS = [
     "argv,corpus,message", REFUSALS,
     ids=["family", "abelian", "max-n-5000-digits", "max-n-4000-digits", "max-n-x",
          "format", "format-words", "ambiguous", "command", "unrecognized",
-         "unrecognized-many", "checks", "file-records",
+         "unrecognized-many", "checks", "checks-long-first", "checks-six-long",
+         "file-records",
          "corpus-path", "gen-5000-digits", "gen-4000-digits", "gen-repeated",
          "gen-not-cycles", "record-no-degree", "keyword", "degree-x"],
 )

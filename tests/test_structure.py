@@ -1,13 +1,19 @@
 import functools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_oracle import tuple_power_map
-from oracles import are_conjugate, exponent
+from oracles import (
+    are_conjugate,
+    cycle_type,
+    exponent,
+    is_prime_by_trial_division,
+)
 from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import BadParam, CapExceeded
 from cutgroups.group import DEFAULT_CAP, PermGroup, trivial_group
@@ -22,11 +28,13 @@ from cutgroups.perm import (
 from cutgroups import structure
 from cutgroups.rationality import Analysis, p_core, sylow
 from cutgroups.structure import (
+    PRIME_BOUND,
     ClassTable,
     abelianization_exponent_divides,
     conjugacy_classes,
     derived_subgroup,
     is_elementary_abelian,
+    is_prime,
     is_solvable,
     p_part,
     prime_divisors,
@@ -204,6 +212,28 @@ class TestHelpers:
     def test_prime_divisors(self):
         assert prime_divisors(1) == []
         assert prime_divisors(360) == [2, 3, 5]
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_200000(self):
+        assert [n for n in range(-2, 200000) if is_prime(n)] == [
+            n for n in range(-2, 200000) if is_prime_by_trial_division(n)
+        ]
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_to_the_first_bases(self, n):
+        # strong pseudoprimes to 2, 3, 5, 7 and to 2, ..., 23 respectively
+        assert not is_prime(n) and not is_prime_by_trial_division(n)
+
+    def test_large_primes(self):
+        for n in [10 ** 16 + 61, 2 ** 61 - 1, 2 ** 31 - 1]:
+            assert is_prime(n)
+        assert not is_prime(100000007 * 100000037)
+
+    def test_the_bound_is_a_composite_passing_every_base(self):
+        # so is_prime is exact below it, and its callers refuse from it on
+        assert PRIME_BOUND == 399165290221 * 798330580441
+        assert is_prime(PRIME_BOUND)
 
 
 class TestConjugacyClasses:
@@ -493,7 +523,7 @@ class TestSylow:
     def test_s3_three_part(self):
         P = sylow(symmetric(3), 3)
         assert P.order() == 3
-        assert P.generators[0].cycle_type() == (3,)
+        assert cycle_type(P.generators[0]) == (3,)
 
     def test_non_prime_rejected(self):
         with pytest.raises(BadParam):
@@ -542,6 +572,18 @@ class TestSubgroupRefusals:
     def test_non_prime_before_the_cap(self, subgroup):
         with pytest.raises(BadParam, match="p must be prime, got 4$"):
             subgroup(symmetric(6), 4, cap=100)
+
+    def test_bound_before_the_cap(self, subgroup):
+        with pytest.raises(BadParam, match=f"p must be below {PRIME_BOUND}, got <24 digits>$"):
+            subgroup(symmetric(6), PRIME_BOUND, cap=100)
+
+    def test_large_p_takes_no_trial_division(self, subgroup):
+        # trial division took seconds on each of these, growing as sqrt p
+        start = time.process_time()
+        assert subgroup(symmetric(4), 10 ** 16 + 61).order() == 1
+        with pytest.raises(BadParam, match="p must be prime, got 10000004400000259$"):
+            subgroup(symmetric(4), 100000007 * 100000037)
+        assert time.process_time() - start < 1
 
     @pytest.mark.parametrize("p", [2, 7], ids=["divides", "coprime"])
     def test_cap_for_every_prime(self, subgroup, p):
