@@ -187,7 +187,7 @@ def sylnorm(p: int) -> PermGroup:
     if p > 13:  # the family's range, checked before the primality test
         raise BadParam(f"sylnorm supports p <= 13, got {brief(p)}")
     if not is_prime(p):
-        raise BadParam(f"sylnorm needs a prime, got {p}")
+        raise BadParam(f"sylnorm needs a prime, got {brief(p)}")
     cycle = Permutation([(i + 1) % p for i in range(p)])
     if p == 2:
         return PermGroup(2, [cycle])

@@ -71,9 +71,9 @@ class SurveyConfig:
     def __post_init__(self):
         unknown = [c for c in self.checks if c not in ALL_CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks: {unknown}")
+            raise ValueError(f"unknown checks: {excerpt(unknown)}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise ValueError(f"workers must be >= 1, got {brief(self.workers)}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, ClassVar, Iterable
 
 from .alternating import alternating_classes, alternating_power_conjugate
@@ -184,13 +184,26 @@ def classify_class(table: ClassTable, c: int) -> ClassRationality:
     )
 
 
+def _fact(compute: Callable) -> Callable:
+    """An Analysis method computed once, kept in self.facts[name, *args]."""
+
+    @wraps(compute)
+    def fact(self: Analysis, *args):
+        key = (compute.__name__, *args)
+        if key not in self.facts:
+            self.facts[key] = compute(self, *args)
+        return self.facts[key]
+
+    return fact
+
+
 class Analysis:
     """Everything the report and the checks ask about one group, each fact
-    computed at most once: the class table, the per-class verdicts,
-    solvability, the character-field degree, and per prime the Sylow
-    subgroup, its own Analysis and the classes that make up the p-core.
-    Element orders, p-cores and class membership are read off the class
-    table.
+    computed at most once and kept in ``facts`` under its name and prime,
+    e.g. ("sylow", 3): the class table, the per-class verdicts, the
+    character-field degree, the report, and per prime the Sylow subgroup,
+    its own Analysis and the classes whose union is O_p(G).  Element
+    orders, p-cores and class membership are read off the class table.
 
     One Analysis serves one group_rationality call or survey record and is
     never shared between threads (survey workers are processes), so it takes no lock.
@@ -199,18 +212,15 @@ class Analysis:
     def __init__(self, G: PermGroup, cap: int = DEFAULT_CAP):
         self.G = G
         self.cap = cap
-        self._per_prime: dict[tuple[str, int], object] = {}
+        self.facts: dict[tuple, object] = {}
 
-    def _once(self, key: tuple[str, int], compute: Callable[[], object]):
-        if key not in self._per_prime:
-            self._per_prime[key] = compute()
-        return self._per_prime[key]
-
-    @cached_property
+    @property
+    @_fact
     def table(self) -> ClassTable:
         return conjugacy_classes(self.G, self.cap)
 
-    @cached_property
+    @property
+    @_fact
     def classes(self) -> list[ClassRationality]:
         """classify_class of every class, computed once per Galois orbit.
         A class d = row[k] with k a unit mod the order o of class c has
@@ -227,14 +237,16 @@ class Analysis:
                 out[row[k % o]] = r
         return out
 
-    @cached_property
+    @property
+    @_fact
     def qg_degree(self) -> int:
         """Index of the global power-map stabilizer, read from the class
         stabilizers: taken over the units mod the lcm of the non-rational
         class orders, it equals the index in the units mod exp(G)."""
         return _field_degree((r.element_order, r.stabilizer) for r in self.classes)
 
-    @cached_property
+    @property
+    @_fact
     def report(self) -> GroupReport:
         """The group-level verdicts, with no checks run."""
         classes = self.classes
@@ -248,6 +260,7 @@ class Analysis:
             class_reports=classes,
         )
 
+    @_fact
     def sylow(self, p: int) -> PermGroup:
         """A Sylow p-subgroup by normalizer growth (structure._sylow); a p
         that is not prime, or not below PRIME_BOUND, is refused before the
@@ -256,25 +269,20 @@ class Analysis:
         if p >= PRIME_BOUND:
             raise BadParam(f"p must be below {PRIME_BOUND}, got {brief(p)}")
         if not is_prime(p):
-            raise BadParam(f"p must be prime, got {p}")
+            raise BadParam(f"p must be prime, got {brief(p)}")
+        if self.G.within_cap(self.cap) % p:
+            return trivial_group(self.G.degree)
+        return _sylow(self.table, p)
 
-        def compute() -> PermGroup:
-            if self.G.within_cap(self.cap) % p:
-                return trivial_group(self.G.degree)
-            return _sylow(self.table, p)
-
-        return self._once(("sylow", p), compute)
-
+    @_fact
     def sylow_analysis(self, p: int) -> Analysis:
-        return self._once(("analysis", p), lambda: Analysis(self.sylow(p), self.cap))
+        return Analysis(self.sylow(p), self.cap)
 
+    @_fact
     def core(self, p: int) -> set[int]:
         """The classes of G that lie wholly in the Sylow p-subgroup; their
         union is O_p(G)."""
-        return self._once(
-            ("core", p),
-            lambda: core_classes(self.sylow(p).closure(self.cap)[0], self.table),
-        )
+        return core_classes(self.sylow(p).closure(self.cap)[0], self.table)
 
     def p_core(self, p: int) -> tuple[int, int]:
         """Order and exponent of O_p(G), summed over its classes (core); no

@@ -160,6 +160,11 @@ class TestRunSurvey:
         with pytest.raises(ValueError):
             SurveyConfig(checks=("bogus",))
 
+    def test_unknown_check_shown_short(self):
+        with pytest.raises(ValueError) as exc:
+            SurveyConfig(checks=("x" * 100000,))
+        assert str(exc.value) == "unknown checks: ['xxxxxxxxxxxx...xxxxxxxxxxxxx']"
+
     def test_sylow2_informational_column(self):
         records = [record_for("s3", symmetric(3)), record_for("c5", cyclic(5))]
         report = run_survey(records, SurveyConfig(checks=("syl2",)))
@@ -213,6 +218,10 @@ class TestRunSurvey:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError):
             SurveyConfig(workers=workers)
+
+    def test_huge_workers_shown_short(self):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got -<5001 digits>$"):
+            SurveyConfig(workers=-10 ** 5000)
 
     @pytest.mark.parametrize("workers,cpus,pool_size", [
         (10 ** 6, 8, 3),  # clamped to the record count

@@ -162,6 +162,55 @@ def test_every_definition_is_referenced():
     assert unreferenced_members(sources, base_attributes) == UNREAD_MEMBERS
 
 
+MEMO_DECORATORS = {"cached_property", "cache", "lru_cache"}
+
+
+def memo_members(source: str, cls: str) -> list[str]:
+    """Members of the module-level class ``cls`` that a functools memo
+    decorates, called or not, bare or through ``functools.``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                for deco in getattr(item, "decorator_list", []):
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in MEMO_DECORATORS:
+                        found.append(f"{cls}.{item.name} (line {deco.lineno})")
+    return found
+
+
+def test_scanner_finds_a_memo_member():
+    source = (
+        "import functools\n"
+        "@functools.lru_cache\n"
+        "def units(n): pass\n"
+        "class Analysis:\n"
+        "    @cached_property\n"
+        "    def table(self): pass\n"
+        "    @property\n"
+        "    @functools.cache\n"
+        "    def classes(self): pass\n"
+        "    @lru_cache(maxsize=2)\n"
+        "    def sylow(self, p): pass\n"
+        "    @property\n"
+        "    @_fact\n"
+        "    def report(self): pass\n"
+        "class Other:\n"
+        "    @cached_property\n"
+        "    def x(self): pass\n"
+    )
+    assert memo_members(source, "Analysis") == [
+        "Analysis.table (line 5)", "Analysis.classes (line 8)", "Analysis.sylow (line 10)"
+    ]
+
+
+def test_analysis_has_one_memo():
+    # every fact goes through rationality._fact into Analysis.facts
+    source = (Path(cutgroups.__file__).parent / "rationality.py").read_text(encoding="utf-8")
+    assert memo_members(source, "Analysis") == []
+
+
 def private_group_imports(source: str) -> list[str]:
     """Underscore-prefixed names a module imports from ``cutgroups.group``:
     chain handling stays inside group.py."""

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -215,8 +215,12 @@ class TestBruteforceOracle:
 
     # at most 5 moved points: the oracles conjugate with every element, so
     # a group of 7! elements would take about a minute
+    # D10 pinned: its order-5 classes are real with a field of degree 2, so
+    # not inverse semi-rational, and random draws miss such a class in
+    # about half the runs
     @settings(max_examples=100, deadline=None)
     @given(small_closure_generators(moved=5))
+    @example(list(dihedral(5).generators))
     def test_definition_oracles_match_on_random_groups(self, gens):
         G = PermGroup(gens[0].degree, gens)
         self.assert_matches_definitions(G, gens)
@@ -337,7 +341,7 @@ class TestLemma61Check:
         G = direct_product(symmetric(3), symmetric(3))
         a = Analysis(G)
         sub = a.sylow_analysis(3)
-        sub.classes = [
+        sub.facts[("classes",)] = [
             replace(r, is_inverse_semirational=not r.is_inverse_semirational)
             for r in sub.classes
         ]
@@ -476,6 +480,21 @@ def test_each_fact_is_computed_once(monkeypatch):
     assert sum(H is G for H in table_groups) == 1
 
 
+def test_a_full_run_keeps_each_fact_under_one_key():
+    a = Analysis(symmetric(4))
+    a.report
+    a.run(tuple(CHECKS))
+    per_group = {("table",), ("classes",), ("qg_degree",), ("report",)}
+    per_prime = {("sylow", 3), ("sylow", 5), ("sylow", 7), ("sylow_analysis", 3),
+                 ("core", 5), ("core", 7)}
+    assert set(a.facts) == per_group | per_prime
+    assert set(a.sylow_analysis(3).facts) == per_group
+    facts = dict(a.facts)
+    a.run(tuple(CHECKS))
+    assert a.facts.keys() == facts.keys()
+    assert all(a.facts[key] is fact for key, fact in facts.items())
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 6, -3])
 @pytest.mark.parametrize("fact", ["sylow", "sylow_analysis", "p_core"])
 def test_analysis_rejects_a_p_that_is_not_prime(fact, p):
@@ -483,6 +502,14 @@ def test_analysis_rejects_a_p_that_is_not_prime(fact, p):
     # by zero and p = 1 never ends the p-part loop
     with pytest.raises(BadParam, match=f"p must be prime, got {p}$"):
         getattr(Analysis(symmetric(4)), fact)(p)
+
+
+@pytest.mark.parametrize("fact", ["sylow", "sylow_analysis", "p_core"])
+def test_analysis_shows_a_huge_p_short(fact):
+    a = Analysis(symmetric(4))
+    with pytest.raises(BadParam, match=r"p must be prime, got -<5001 digits>$"):
+        getattr(a, fact)(-10 ** 5000)
+    assert a.facts == {}
 
 
 @pytest.mark.parametrize("G", [symmetric(4), cyclic(12)], ids=["S4", "C12"])

@@ -62,6 +62,10 @@ REFUSALS = [
      "cutgroups an-fields: error: argument --max-n: must be an integer, got <5000 digits>"),
     (["an-fields", "--max-n", "1" * 4000], None,
      "cutgroups: --max-n must be in 4..14, got <4000 digits>"),
+    (["construct", "--family", "sylnorm:-" + "9" * 4000], None,
+     "cutgroups: sylnorm needs a prime, got -<4000 digits>"),
+    (["construct", "--family", "wreath-sylnorm:-" + "9" * 4000 + ":1"], None,
+     "cutgroups: sylnorm needs a prime, got -<4000 digits>"),
     (["an-fields", "--max-n", "x" + X], None,
      f"cutgroups an-fields: error: argument --max-n: must be an integer, got {X_SHOWN}"),
     (["analyze", "--family", "cyclic:3", "--format", X], None,
@@ -112,7 +116,8 @@ REFUSALS = [
 
 @pytest.mark.parametrize(
     "argv,corpus,message", REFUSALS,
-    ids=["family", "abelian", "max-n-5000-digits", "max-n-4000-digits", "max-n-x",
+    ids=["family", "abelian", "max-n-5000-digits", "max-n-4000-digits",
+         "sylnorm-4000-digits", "wreath-sylnorm-4000-digits", "max-n-x",
          "format", "format-words", "ambiguous", "command", "unrecognized",
          "unrecognized-many", "checks", "checks-long-first", "checks-six-long",
          "file-records",
