@@ -23,8 +23,9 @@ from cutgroups.constructions import (
     sylnorm,
     symmetric,
 )
+from cutgroups.corpus import render_record
 from cutgroups.group import PermGroup
-from cutgroups.perm import Permutation, format_permutation
+from cutgroups.perm import Permutation
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "cutgroups" / "data" / "bundled.corpus"
 
@@ -101,16 +102,7 @@ def sl23() -> PermGroup:
 
 
 def emit(handle, rid, G, name=None, tags=()):
-    handle.write(f"group {rid}\n")
-    if name:
-        handle.write(f"name {name}\n")
-    handle.write(f"degree {G.degree}\n")
-    for g in G.generators:
-        handle.write(f"gen {format_permutation(g)}\n")
-    handle.write(f"order {G.order()}\n")
-    if tags:
-        handle.write(f"tags {','.join(tags)}\n")
-    handle.write("end\n\n")
+    handle.write(render_record(rid, G, name, tags) + "\n")
 
 
 def main():

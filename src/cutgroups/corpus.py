@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     CapExceeded,
@@ -51,9 +51,9 @@ FORMATS = ("json", "csv", "text")
 
 @dataclass
 class GroupRecord:
-    """One corpus record: its id, the group its generators generate (the
-    group, and so its stabilizer chain, that parse_corpus built to check
-    the order), and the optional name, order and tags."""
+    """One corpus record: its id, the group its generators generate, with
+    the stabilizer chain that group holds, and the optional name, order
+    and tags."""
 
     id: str
     group: PermGroup
@@ -106,7 +106,7 @@ def parse_corpus(path: str | Path) -> list[GroupRecord]:
     Generators must parse at the stated degree, ids must be unique, a
     record states each key but ``gen`` at most once, and a declared order
     must match the computed group order.  Each record holds the group its
-    generators generate, with the stabilizer chain the order check built.
+    generators generate, and every such group holds its stabilizer chain.
     """
     path = Path(path)
     records: list[GroupRecord] = []
@@ -252,9 +252,9 @@ def run_survey(
     Row order is by record id regardless of workers.
 
     Serial and pooled surveys map the one ``_analyze`` over the records.
-    Serially it analyzes ``record.group`` itself, from the stabilizer chain
-    parse_corpus built; a worker receives each record pickled, and its
-    group as degree and generators, so it builds the chain anew.  A group
+    Serially it analyzes ``record.group`` itself, on the stabilizer chain
+    that group was built with; a worker receives each record pickled, and
+    its group as degree and generators, so it builds the chain anew.  A group
     holds no enumeration, so every enumeration of a record belongs to its
     analysis and goes with it."""
     config = config or SurveyConfig()
@@ -432,11 +432,17 @@ def _survey_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def render_record(rid: str, G: PermGroup) -> str:
-    """A one-record corpus for G, with its order, as parse_corpus reads it."""
-    lines = [f"group {rid}", f"name {rid}", f"degree {G.degree}"]
+def render_record(
+    rid: str, G: PermGroup, name: str | None = None, tags: Sequence[str] = ()
+) -> str:
+    """A one-record corpus for G, with its order, as parse_corpus reads it;
+    the name defaults to the id, and a ``tags`` line is written when there
+    are tags."""
+    lines = [f"group {rid}", f"name {name or rid}", f"degree {G.degree}"]
     lines.extend(f"gen {format_permutation(g)}" for g in G.generators)
     lines.append(f"order {G.order()}")
+    if tags:
+        lines.append(f"tags {','.join(tags)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

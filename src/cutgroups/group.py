@@ -9,7 +9,8 @@ hold elements as words of the degree's ``Encoding``: up to degree 256 a
 word is ``bytes``, one point per byte, and two words compose with one
 ``bytes.translate``; above 256 a byte cannot hold a point, and a word is
 an image tuple.  A group holds its generators, their encoding and the
-chain, nothing else, and pickles or copies as its degree and generators:
+chain, nothing else; its constructor builds the chain, so a group never
+changes once made.  It pickles or copies as its degree and generators:
 the copy builds its own chain.  ``closure`` returns what it computes (the
 words with their ``word -> index`` dict, every product element · generator
 as a right Cayley column on element indices, and the tree of first
@@ -20,7 +21,6 @@ enumeration it asked for.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from collections import deque
 from typing import Sequence
@@ -140,7 +140,8 @@ class _Chain:
     list.  Each Schreier pair (beta, s) of a level is queued once, when the
     later of beta and s arrives, and sifted once.  By Schreier's lemma, once
     every pair has sifted to the identity each level's orbit times the order
-    below is the group order, and sifting decides membership.
+    below is the group order, set as ``order`` once the build ends, and
+    sifting decides membership.
 
     Elements are words in the group's ``Encoding``; only right-hand factors
     (strong generators and inverse reps) are kept as tables.  No element of
@@ -152,7 +153,7 @@ class _Chain:
     attribute.
     """
 
-    __slots__ = ("encoding", "identity", "levels", "steps", "_encode", "_compose")
+    __slots__ = ("encoding", "identity", "levels", "steps", "order", "_encode", "_compose")
 
     def __init__(self, encoding: Encoding, generators: Sequence[Permutation]):
         self.encoding = encoding
@@ -165,6 +166,7 @@ class _Chain:
             if residue != self.identity:
                 self._insert(residue, 0, depth)
                 self._close(depth)
+        self.order = math.prod(len(level.reps) for level in self.levels)
 
     def sift(self, word: _Word, start: int = 0) -> tuple[_Word, int]:
         """Sift a word down from level ``start``; returns the residue and
@@ -215,9 +217,6 @@ class _Chain:
                 self._insert(residue, depth + 1, stop)
                 depth = stop
 
-    def order(self) -> int:
-        return math.prod(len(level.reps) for level in self.levels)
-
     def base_points(self) -> list[int]:
         return [level.point for level in self.levels]
 
@@ -263,15 +262,15 @@ class PermGroup:
 
     The identity is always a member, even if not listed.  A group holds
     only what order and membership need: its generators, the ``Encoding``
-    of its degree, and the stabilizer chain, built at most once under a
-    lock so concurrent readers share it.
+    of its degree, and the stabilizer chain, which the constructor builds,
+    so a group never changes once made and concurrent readers share it.
     Every enumeration is built when it is asked for and belongs to the
     caller; the slots keep anything else from being stored on a group.  A
-    pickle or copy carries the degree and generators only: the receiver
-    builds its own lock, and its own chain when it is asked for.
+    pickle or copy carries the degree and generators only: the receiver's
+    constructor builds its own chain.
     """
 
-    __slots__ = ("degree", "generators", "encoding", "_lock", "_chain", "_order")
+    __slots__ = ("degree", "generators", "encoding", "_chain")
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
         if degree < 1:
@@ -287,9 +286,7 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self.encoding = Encoding(degree)
-        self._lock = threading.Lock()
-        self._chain: _Chain | None = None
-        self._order: int | None = None
+        self._chain = _Chain(self.encoding, gens)
 
     def __reduce__(self):
         return PermGroup, (self.degree, self.generators)
@@ -298,24 +295,15 @@ class PermGroup:
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
-    def _built_chain(self) -> _Chain:
-        if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = _Chain(self.encoding, self.generators)
-        return self._chain
-
     def order(self) -> int:
-        if self._order is None:
-            self._order = self._built_chain().order()
-        return self._order
+        return self._chain.order
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"permutation degree {p.degree} != group degree {self.degree}"
             )
-        chain = self._chain or self._built_chain()
+        chain = self._chain
         return chain.sift(chain._encode(p.images))[0] == chain.identity
 
     def closure(
@@ -359,7 +347,7 @@ class PermGroup:
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""
-        return self._built_chain().base_points()
+        return self._chain.base_points()
 
 
 def trivial_group(degree: int) -> PermGroup:

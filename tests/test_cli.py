@@ -537,19 +537,25 @@ class TestAnFields:
 
 
 class TestStoredOutputs:
-    """The benchmark's stored analyze and an-fields outputs, byte for byte;
-    test_criterion_14 holds the stored survey report."""
+    """The benchmark's stored survey, analyze and an-fields outputs, byte
+    for byte.  The commands run from the repository root, because a survey
+    report names its corpus path as given."""
 
-    EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected"
+    ROOT = Path(__file__).parents[1]
+    EXPECTED = ROOT / "perfbench" / "expected"
 
     @pytest.mark.parametrize("name,argv", [
+        ("survey-bundled.json", ["survey", "--corpus",
+         "src/cutgroups/data/bundled.corpus", "--format", "json"]),
         ("an-fields-14.json", ["an-fields", "--max-n", "14", "--format", "json"]),
         ("analyze-symmetric-8.json",
          ["analyze", "--family", "symmetric:8", "--format", "json"]),
         ("analyze-alternating-8.json",
          ["analyze", "--family", "alternating:8", "--format", "json"]),
-    ], ids=["an-fields-14", "analyze-symmetric-8", "analyze-alternating-8"])
-    def test_output_equals_the_stored_file(self, name, argv, capsys):
+    ], ids=["survey-bundled", "an-fields-14", "analyze-symmetric-8",
+            "analyze-alternating-8"])
+    def test_output_equals_the_stored_file(self, name, argv, capsys, monkeypatch):
+        monkeypatch.chdir(self.ROOT)
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (self.EXPECTED / name).read_bytes()

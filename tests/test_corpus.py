@@ -5,7 +5,6 @@ import pickle
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -187,15 +186,8 @@ class TestRunSurvey:
         assert len(records) == 172
 
     def test_serial_survey_reuses_each_record_chain(self, monkeypatch):
-        # parse_corpus builds each record's chain to check its order, and a
+        # each record's group holds its chain from parse_corpus on, and a
         # serial survey analyzes record.group itself on that chain
-        builds = Counter()
-        built_chain = PermGroup._built_chain
-
-        def counting(group):
-            builds[id(group)] += group._chain is None
-            return built_chain(group)
-
         analyzed = []
         analysis = corpus.Analysis
 
@@ -203,13 +195,13 @@ class TestRunSurvey:
             analyzed.append(G)
             return analysis(G, cap)
 
-        monkeypatch.setattr(PermGroup, "_built_chain", counting)
         monkeypatch.setattr(corpus, "Analysis", recording)
         records = sorted(parse_corpus(bundled_corpus_path()), key=lambda r: r.id)
+        chains = [r.group._chain for r in records]
         report = run_survey(records)
         assert len(report.rows) == len(records) == 172
         assert all(G is r.group for G, r in zip(analyzed, records, strict=True))
-        assert [builds[id(r.group)] for r in records] == [1] * 172
+        assert all(r.group._chain is c for r, c in zip(records, chains, strict=True))
         # a group has slots only: no analysis can be stashed on it
         with pytest.raises(AttributeError):
             records[0].group.table = None

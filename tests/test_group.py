@@ -72,21 +72,23 @@ class TestPickle:
         assert [h.images for h in H.generators] == [g.images for g in G.generators]
         assert H.order() == G.order() == 128
 
-    def test_copy_builds_its_chain_when_asked(self):
-        G = symmetric(6)
-        G.order()
-        H = pickle.loads(pickle.dumps(G))
-        assert G._chain is not None
-        assert H._chain is None and H._order is None
-        assert H.contains(G.generators[0])
-        assert H._chain is not None and H._chain is not G._chain
+    def test_a_group_holds_its_chain_when_made(self):
+        G = PermGroup(4, [parse_permutation("(1 2 3 4)", 4)])
+        assert isinstance(G._chain, _Chain) and G._chain.order == 4
 
-    def test_copy_has_its_own_lock(self):
-        G = symmetric(4)
-        H = copy.copy(G)
-        assert H._lock is not G._lock
-        with G._lock:  # G's lock held: H still builds its chain
-            assert H.order() == 24
+    @pytest.mark.parametrize(
+        "duplicate", [lambda G: pickle.loads(pickle.dumps(G)), copy.copy],
+        ids=["pickle", "copy"],
+    )
+    def test_copy_holds_its_own_chain(self, duplicate):
+        G = alternating(6)
+        H = duplicate(G)
+        assert isinstance(H._chain, _Chain) and H._chain is not G._chain
+        assert H.base_points() == G.base_points()
+        assert H.order() == G.order() == 360
+        odd = parse_permutation("(1 2)", 6)
+        for g in (*G.generators, odd):
+            assert H.contains(g) == G.contains(g) == (g is not odd)
 
 
 class TestOrder:
@@ -417,7 +419,7 @@ class TestChainSteps:
             assert_steps_mirror_levels(chain)
 
         with mock.patch.object(_Chain, "_insert", checked):
-            chain = PermGroup(gens[0].degree, gens)._built_chain()
+            chain = PermGroup(gens[0].degree, gens)._chain
         assert_steps_mirror_levels(chain)
 
 
@@ -430,7 +432,7 @@ class TestChainInverses:
         # compose them on the right, in the chain's own encoding
         gens, _ = case
         degree = gens[0].degree
-        chain = PermGroup(degree, gens)._built_chain()
+        chain = PermGroup(degree, gens)._chain
         word = bytes if degree <= 256 else tuple
         table_length = max(degree, 256)
         for level in chain.levels:

@@ -258,6 +258,42 @@ def test_traced_permgroup_methods_exist():
     assert [m for m in methods if m not in PermGroup.__dict__] == []
 
 
+def threading_imports(source: str) -> list[str]:
+    """The lines that import ``threading``, at any depth.  A group builds
+    its chain in its constructor and never changes after, so no package
+    object needs a lock."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "threading" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_scanner_finds_a_threading_import():
+    source = (
+        "import os, threading as t\n"
+        "from threading import Lock\n"
+        "from .threading import local\n"
+        "from json import threading\n"
+        "def f():\n"
+        "    import threading\n"
+    )
+    assert threading_imports(source) == ["line 1", "line 2", "line 6"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(cutgroups.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_threading_imports(path):
+    assert threading_imports(path.read_text(encoding="utf-8")) == []
+
+
 def repr_conversions(source: str) -> list[str]:
     """Each f-string ``!r`` conversion, named by its enclosing class and
     function.  A refusal shows user input through ``errors.excerpt``, which
