@@ -192,6 +192,8 @@ def cmd_survey(args) -> int:
             return _fail(e, 2)
     config = SurveyConfig(cap=args.cap, checks=tuple(args.checks), workers=args.workers)
     report = run_survey(records, config, label=str(args.corpus))
+    # the chains go before the report is rendered, so the two never peak together
+    del records
     code = _write(render_report(report, args.format), args.out)
     if code:
         return code

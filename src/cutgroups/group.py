@@ -10,12 +10,14 @@ word is ``bytes``, one point per byte, and two words compose with one
 ``bytes.translate``; above 256 a byte cannot hold a point, and a word is
 an image tuple.  A group holds its generators, their encoding and the
 chain, nothing else; its constructor builds the chain, so a group never
-changes once made.  It pickles or copies as its degree and generators:
-the copy builds its own chain.  ``closure`` returns what it computes (the
-words with their ``word -> index`` dict, every product element · generator
-as a right Cayley column on element indices, and the tree of first
-discoveries) to its caller and keeps none of it, so each reader owns the
-enumeration it asked for.
+changes once made.  The chain's levels (reps, strong generators, Schreier
+queues) are build state: a finished chain is its sift steps, one base
+point and its inverse-rep tables per level.  A group pickles or copies as
+its degree and generators: the copy builds its own chain.  ``closure``
+returns what it computes (the words with their ``word -> index`` dict,
+every product element · generator as a right Cayley column on element
+indices, and the tree of first discoveries) to its caller and keeps none
+of it, so each reader owns the enumeration it asked for.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ class Encoding:
 
 
 class _ChainLevel:
-    """One level of a stabilizer chain, in the group's ``Encoding`` of
-    words and tables.
+    """One level of a stabilizer chain while it is built, in the group's
+    ``Encoding`` of words and tables.  Levels are build state: a finished
+    chain keeps only each level's ``point`` and ``inverses`` in its sift
+    steps, and the rest goes with the level.
 
     ``gens`` is S_L as tables, every strong generator that reached this
     level, so ``<gens>`` is this level's group and fixes every earlier base
@@ -145,32 +149,42 @@ class _Chain:
 
     Elements are words in the group's ``Encoding``; only right-hand factors
     (strong generators and inverse reps) are kept as tables.  No element of
-    the chain leaves it: ``PermGroup.contains`` encodes its query once.  The
-    chain keeps the encoding's identity, encode and compose as its own
-    slots, so that a membership query reads them in one attribute load
-    each, and ``steps`` holds one ``(point, inverses, depth)`` tuple per
-    level, ``inverses`` the level's own dict, so that a sift step loads no
-    attribute.
+    the chain leaves it: ``PermGroup.contains`` encodes its query once.
+
+    A finished chain is its sift steps: ``steps`` holds one ``(point,
+    inverses, depth)`` tuple per level, ``inverses`` the level's own dict,
+    so that a sift step loads no attribute, and the chain keeps the
+    encoding's identity, encode and compose as its own slots, so that a
+    membership query reads them in one attribute load each.  The levels,
+    the encoding and the one identity table that every level's base point
+    shares are build state: ``__init__`` drops them before it returns, so
+    no reps, Schreier queue or strong generator outlives the build.
     """
 
-    __slots__ = ("encoding", "identity", "levels", "steps", "order", "_encode", "_compose")
+    __slots__ = (
+        "identity", "steps", "order", "_encode", "_compose",
+        "encoding", "levels", "identity_table",  # build state
+    )
 
     def __init__(self, encoding: Encoding, generators: Sequence[Permutation]):
-        self.encoding = encoding
         self.identity = encoding.identity
         self._encode, self._compose = encoding.encode, encoding.compose
-        self.levels: list[_ChainLevel] = []
         self.steps: list[tuple[int, dict[int, _Word], int]] = []
+        self.encoding = encoding
+        self.levels: list[_ChainLevel] = []
+        self.identity_table = encoding.table(self.identity)
         for g in generators:
             residue, depth = self.sift(self._encode(g.images))
             if residue != self.identity:
                 self._insert(residue, 0, depth)
                 self._close(depth)
-        self.order = math.prod(len(level.reps) for level in self.levels)
+        # each orbit is its level's inverse-rep key set
+        self.order = math.prod(len(inverses) for _, inverses, _ in self.steps)
+        del self.encoding, self.levels, self.identity_table
 
     def sift(self, word: _Word, start: int = 0) -> tuple[_Word, int]:
         """Sift a word down from level ``start``; returns the residue and
-        the depth where it stopped (``len(levels)`` when it passed all)."""
+        the depth where it stopped (``len(steps)`` when it passed all)."""
         steps, compose = self.steps, self._compose
         for point, inverses, depth in steps[start:] if start else steps:
             beta = word[point]
@@ -188,8 +202,7 @@ class _Chain:
         encoding = self.encoding
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
-            table = encoding.table(self.identity)
-            level = _ChainLevel(point, self.identity, table)
+            level = _ChainLevel(point, self.identity, self.identity_table)
             self.levels.append(level)
             self.steps.append((point, level.inverses, depth))
         g_table, g_inv = encoding.table(g), encoding.invert(g)
@@ -218,7 +231,7 @@ class _Chain:
                 depth = stop
 
     def base_points(self) -> list[int]:
-        return [level.point for level in self.levels]
+        return [point for point, _, _ in self.steps]
 
 
 # (right, parent, edge): see PermGroup.closure

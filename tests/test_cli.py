@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from cutgroups import cli
-from cutgroups.corpus import parse_corpus
+from cutgroups.corpus import bundled_corpus_path, parse_corpus
 from cutgroups.errors import excerpt
+from cutgroups.group import _Chain
 from cutgroups.rationality import CHECKS, CheckResult
 
 
@@ -450,6 +452,27 @@ class TestSurvey:
             "c5,5,True,False,False,False,4,,SKIP,PASS\n"
             "s3,6,True,True,True,True,1,True,PASS,PASS\n"
         )
+
+    def test_no_corpus_chain_is_alive_while_the_report_renders(self, capsys, monkeypatch):
+        # the chains of the parsed records go once the survey has run, so
+        # they never peak together with the rendered report
+        def chains() -> int:
+            return sum(isinstance(o, _Chain) for o in gc.get_objects())
+
+        rendered = []
+        render = cli.render_report
+
+        def counting(report, format):
+            rendered.append(chains())
+            return render(report, format)
+
+        monkeypatch.setattr(cli, "render_report", counting)
+        gc.collect()
+        before = chains()
+        argv = ["survey", "--corpus", str(bundled_corpus_path()), "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(json.loads(out)["rows"]) == 172
+        assert len(rendered) == 1 and rendered[0] <= before
 
 
 class TestConstruct:

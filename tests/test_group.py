@@ -1,10 +1,11 @@
 import copy
+import gc
 import math
 import pickle
 import sys
 import threading
-import time
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -16,7 +17,7 @@ from closure_oracle import tuple_closure
 from cutgroups import cli
 from cutgroups.corpus import bundled_corpus_path, parse_corpus, run_survey
 from cutgroups.errors import CapExceeded, DegreeMismatch, EmptyGenerators
-from cutgroups.group import PermGroup, _Chain, trivial_group
+from cutgroups.group import PermGroup, _Chain, _ChainLevel, trivial_group
 from cutgroups.perm import Permutation, compose, parse_permutation, then_images
 from cutgroups.constructions import alternating, cyclic, iterated_wreath, symmetric
 from cutgroups.rationality import p_core
@@ -270,18 +271,19 @@ class TestOneEnumeration:
         ids = [id(G) for G in groups]
         assert len(ids) == len(set(ids)) > 172
 
-    def test_concurrent_readers_share_one_chain(self, monkeypatch):
+    def test_readers_of_one_finished_group_agree_across_threads(self, monkeypatch):
+        # the constructor builds the chain before any thread starts; the
+        # threads only read the finished group, and none builds a chain
         from cutgroups import group
 
         built = []
         chain = group._Chain
 
-        def slow_chain(*args):
+        def counted_chain(*args):
             built.append(args)
-            time.sleep(0.05)  # widens the window in which a race would show
             return chain(*args)
 
-        monkeypatch.setattr(group, "_Chain", slow_chain)
+        monkeypatch.setattr(group, "_Chain", counted_chain)
         G = symmetric(6)
         member = G.generators[0]
         reads = [G.order, lambda: G.contains(member), lambda: conjugacy_classes(G)]
@@ -403,10 +405,37 @@ def assert_steps_mirror_levels(chain):
         assert inverses is level.inverses
 
 
+def held_by(chain):
+    """Every object a chain holds, through its slots and the lists, tuples
+    and dicts below them."""
+    seen, stack = {}, [chain]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if isinstance(obj, (_Chain, list, tuple, dict)):
+                stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def assert_only_sift_steps(chain):
+    """A finished chain holds its steps and no build state: no level, no
+    Schreier queue, and no word but the identity and the inverse tables,
+    so no rep or strong generator; one identity table serves every level."""
+    assert not any(hasattr(chain, slot) for slot in ("levels", "encoding", "identity_table"))
+    tables = {id(t) for _, inverses, _ in chain.steps for t in inverses.values()}
+    for obj in held_by(chain):
+        assert not isinstance(obj, (_ChainLevel, deque))
+        if isinstance(obj, bytes) or (isinstance(obj, tuple) and len(obj) > 256):
+            assert obj is chain.identity or id(obj) in tables
+    assert len({id(inverses[point]) for point, inverses, _ in chain.steps}) <= 1
+
+
 class TestChainSteps:
     """The sift walks ``steps``, one (point, inverses, depth) tuple per
     level; the tuples hold the levels' own dicts, so an orbit that grows
-    after its level was made is seen by the sift."""
+    after its level was made is seen by the sift.  The levels are build
+    state: once the build ends, the steps are all the chain keeps."""
 
     @settings(max_examples=150, deadline=None)
     @given(generators_and_queries())
@@ -420,7 +449,7 @@ class TestChainSteps:
 
         with mock.patch.object(_Chain, "_insert", checked):
             chain = PermGroup(gens[0].degree, gens)._chain
-        assert_steps_mirror_levels(chain)
+        assert_only_sift_steps(chain)
 
 
 class TestChainInverses:
@@ -429,18 +458,29 @@ class TestChainInverses:
     def test_inverse_reps(self, case):
         # inverses are gathered from the parent point's, not inverted anew;
         # reps are words of the degree's length, inverses the tables that
-        # compose them on the right, in the chain's own encoding
+        # compose them on the right, in the chain's own encoding.  Reps are
+        # build state, so they are read after each generator is closed.
         gens, _ = case
         degree = gens[0].degree
-        chain = PermGroup(degree, gens)._chain
         word = bytes if degree <= 256 else tuple
         table_length = max(degree, 256)
-        for level in chain.levels:
-            for beta, rep in level.reps.items():
-                inverse = level.inverses[beta]
-                assert type(rep) is type(inverse) is word
-                assert (len(rep), len(inverse)) == (degree, table_length)
-                assert chain._compose(rep, inverse) == chain.identity
+        close = _Chain._close
+        closed = []
+
+        def checked(chain, *args):
+            close(chain, *args)
+            closed.append(chain)
+            for level in chain.levels:
+                for beta, rep in level.reps.items():
+                    inverse = level.inverses[beta]
+                    assert type(rep) is type(inverse) is word
+                    assert (len(rep), len(inverse)) == (degree, table_length)
+                    assert chain._compose(rep, inverse) == chain.identity
+
+        with mock.patch.object(_Chain, "_close", checked):
+            G = PermGroup(degree, gens)
+        # a chain has a level exactly when it closed a generator
+        assert bool(closed) == (G.order() > 1)
 
 
 class TestChainMemory:
@@ -458,6 +498,24 @@ class TestChainMemory:
             if started:
                 tracemalloc.stop()
         assert peak < 0.5 * 2 ** 20
+
+    def test_parsed_bundled_corpus_keeps_only_sift_steps(self):
+        # the 172 chains retained 2.41 MiB while they kept their levels'
+        # reps, strong generators and one identity table per level; their
+        # sift steps retain about 1.55 MiB
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = parse_corpus(bundled_corpus_path())
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(records) == 172
+        assert retained < 2.0 * 2 ** 20
 
 
 @st.composite
