@@ -500,9 +500,9 @@ class TestChainMemory:
         assert peak < 0.5 * 2 ** 20
 
     def test_parsed_bundled_corpus_keeps_only_sift_steps(self):
-        # the 172 chains retained 2.41 MiB while they kept their levels'
-        # reps, strong generators and one identity table per level; their
-        # sift steps retain about 1.55 MiB
+        # the 172 chains' sift steps retain about 1.55 MiB; their levels'
+        # reps, strong generators and one identity table per level would
+        # add about 0.9 MiB, over the bound
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
