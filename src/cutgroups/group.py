@@ -14,10 +14,10 @@ changes once made.  The chain's levels (reps, strong generators, Schreier
 queues) are build state: a finished chain is its sift steps, one base
 point and its inverse-rep tables per level.  A group pickles or copies as
 its degree and generators: the copy builds its own chain.  ``closure``
-returns what it computes (the words with their ``word -> index`` dict,
-every product element · generator as a right Cayley column on element
-indices, and the tree of first discoveries) to its caller and keeps none
-of it, so each reader owns the enumeration it asked for.
+returns what it computes (the ``word -> position`` dict, keys in
+enumeration order, every product element · generator as a right Cayley
+column on positions, and the tree of first discoveries) to its caller and
+keeps none of it, so each reader owns the enumeration it asked for.
 """
 
 from __future__ import annotations
@@ -240,11 +240,12 @@ Cayley = tuple[list[list[int]], array, array]
 
 def _closure(
     encoding: Encoding, generators: Sequence[Permutation]
-) -> tuple[list[_Word], dict[_Word, int], Cayley]:
+) -> tuple[dict[_Word, int], Cayley]:
     """Breadth-first closure over the generators on words, from the
     identity, recording every product it takes in the Cayley columns;
-    returns the words, the dict from each word to its position, and the
-    columns with the tree."""
+    returns the dict from each word to its position, in enumeration order,
+    and the columns with the tree.  The word list is the closure's queue
+    only: a dict cannot grow while it is walked."""
     compose = encoding.compose
     tables = [encoding.table(encoding.encode(g.images)) for g in generators]
     out = [encoding.identity]
@@ -267,7 +268,7 @@ def _closure(
                 edge.append(e)
                 n += 1
             record(j)
-    return out, index, (right, parent, edge)
+    return index, (right, parent, edge)
 
 
 class PermGroup:
@@ -319,27 +320,25 @@ class PermGroup:
         chain = self._chain
         return chain.sift(chain._encode(p.images))[0] == chain.identity
 
-    def closure(
-        self, cap: int = DEFAULT_CAP
-    ) -> tuple[list[_Word], dict[_Word, int], Cayley]:
-        """``(words, index, (right, parent, edge))``, built on every call:
-        the |G| elements as words of the group's ``encoding`` (``bytes`` up
-        to degree 256, image tuples above; ``encoding.decode`` gives the
-        image tuple) by breadth-first closure over the generators, the dict
-        from each word to its position, and what the closure computed on
-        those positions.
+    def closure(self, cap: int = DEFAULT_CAP) -> tuple[dict[_Word, int], Cayley]:
+        """``(index, (right, parent, edge))``, built on every call: the
+        dict from each of the |G| elements, as a word of the group's
+        ``encoding`` (``bytes`` up to degree 256, image tuples above;
+        ``encoding.decode`` gives the image tuple), to its position in the
+        breadth-first closure over the generators, with the words as keys
+        in that order, and what the closure computed on those positions.
 
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (within_cap, up front).
 
-        ``right[e][i]`` is the index of ``words[i] · generators[e]``, and
-        ``words[j] = words[parent[j]] · generators[edge[j]]`` with
-        ``parent[j] < j`` (the breadth-first tree; the root, the identity,
-        has parent and edge -1).  Each ``right[e]`` is a list whose entries
-        are the very int objects ``index`` holds as values, so a column
-        makes no int of its own; ``parent`` and ``edge`` are
-        ``array('i')``.
+        With ``words = list(index)``, ``right[e][i]`` is the position of
+        ``words[i] · generators[e]``, and ``words[j] = words[parent[j]] ·
+        generators[edge[j]]`` with ``parent[j] < j`` (the breadth-first
+        tree; the root, the identity, has parent and edge -1).  Each
+        ``right[e]`` is a list whose entries are the very int objects
+        ``index`` holds as values, so a column makes no int of its own;
+        ``parent`` and ``edge`` are ``array('i')``.
         """
         self.within_cap(cap)
         return _closure(self.encoding, self.generators)

@@ -5,11 +5,11 @@ All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
 solvability, exp(P/P')) work beyond it.  The class table owns G's
 enumeration: ``conjugacy_classes`` asks ``PermGroup.closure`` for it once,
-keeps its ``word -> index`` dict with the class of each position, and
-drops the rest after the sweep.  Words are in G's ``encoding`` (``bytes``
-up to degree 256), which every subgroup of G shares.  The sweep runs on
-element indices: it reads conjugation off the Cayley columns and the
-breadth-first tree of the closure, makes no word, and wraps only the
+turns its ``word -> position`` dict into the table's ``word -> class``
+dict, and drops the rest after the sweep.  Words are in G's ``encoding``
+(``bytes`` up to degree 256), which every subgroup of G shares.  The sweep
+runs on element positions: it reads conjugation off the Cayley columns and
+the breadth-first tree of the closure, makes no word, and wraps only the
 class reps as Permutations.  The power map computes a row by successive
 products of words only for a class that is not a power of an earlier
 one, so at most one row per Galois orbit of classes, and derives every
@@ -92,10 +92,9 @@ class ClassTable:
     sizes, the class of every element, and the power map of every class,
     built here and never changed afterwards.
 
-    ``index`` is the closure's dict from each element's word, in
-    ``group.encoding``, to its position, and ``classes[i]`` the class of
-    the element at position i, so an element with word t lies in class
-    ``classes[index[t]]``.
+    ``index`` is the dict from each element's word, in ``group.encoding``,
+    to its class, with the words in enumeration order, so an element with
+    word t lies in class ``index[t]``.
 
     reps[0] is always the identity class; power_map[c][k] is the class of
     reps[c] ** k for k in 0..rep_orders[c]-1.
@@ -114,13 +113,11 @@ class ClassTable:
         reps: list[Permutation],
         sizes: list[int],
         index: dict[bytes | tuple[int, ...], int],
-        classes: list[int],
     ):
         self.group = group
         self.reps = reps
         self.sizes = sizes
         self.index = index
-        self.classes = classes
         encoding = group.encoding
         compose_words, identity = encoding.compose, encoding.identity
         rows: list[list[int] | None] = [None] * len(reps)
@@ -131,7 +128,7 @@ class ClassTable:
             table = encoding.table(x)
             row = [0]
             while x != identity:
-                row.append(classes[index[x]])
+                row.append(index[x])
                 x = compose_words(x, table)
             rows[c] = row
             o = len(row)
@@ -147,7 +144,7 @@ class ClassTable:
 
     def class_index(self, p: Permutation) -> int:
         try:
-            return self.classes[self.index[self.group.encoding.encode(p.images)]]
+            return self.index[self.group.encoding.encode(p.images)]
         except (KeyError, ValueError):  # bytes() rejects a point above 255
             raise ValueError(f"{p} is not a member of the group") from None
 
@@ -157,19 +154,21 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     each yet-unassigned element in enumeration order.  Not cached: callers
     that need the table more than once keep it.
 
-    The sweep runs on element indices: the conjugation action of each
+    The sweep runs on element positions: the conjugation action of each
     generator is an integer permutation read from the closure's Cayley
     columns (see _conjugation_actions), and classes are its orbits.  Only
-    the reps are wrapped as Permutations; the table keeps the closure's
-    index, and the word list and columns go when the sweep returns.
+    the reps are wrapped as Permutations.  Once the sweep ends, each value
+    of the closure's index goes from the element's position to its class,
+    and the table keeps that dict; the columns go when the sweep returns.
     """
-    words, index, cayley = G.closure(cap)
+    index, cayley = G.closure(cap)
     decode = G.encoding.decode
     actions = _conjugation_actions(cayley)
-    cls = [-1] * len(words)
+    cls = [-1] * len(index)
     reps: list[Permutation] = []
     sizes: list[int] = []
-    for x, c in enumerate(cls):
+    # the index walks its words in position order, beside their classes
+    for x, (c, word) in enumerate(zip(cls, index)):
         if c >= 0:
             continue
         idx = len(reps)
@@ -181,16 +180,19 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
                 if cls[z] < 0:
                     cls[z] = idx
                     members.append(z)
-        reps.append(Permutation._trusted(decode(words[x])))
+        reps.append(Permutation._trusted(decode(word)))
         sizes.append(len(members))
-    return ClassTable(G, reps, sizes, index, cls)
+    # the values are the positions 0..n-1 in key order: one C pass sets each
+    # to its class, and the position ints go
+    index.update(zip(index, cls))
+    return ClassTable(G, reps, sizes, index)
 
 
 def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
-    """For each generator g, the list whose entry j is the index of
+    """For each generator g, the list whose entry j is the position of
     elements[j] ** g = g⁻¹ · elements[j] · g.
 
-    One pass over the enumeration's tree gives left[j], the index of
+    One pass over the enumeration's tree gives left[j], the position of
     g⁻¹ · elements[j], since g⁻¹ · elements[j] = (g⁻¹ · elements[parent[j]])
     · g_edge[j]; the conjugate is then the right Cayley column of g read at
     left[j].
@@ -234,13 +236,12 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
     """
     G = table.group
     target = p_part(G.order(), p)
-    index, classes = table.index, table.classes
-    orders, decode = table.rep_orders, G.encoding.decode
+    index, orders, decode = table.index, table.rep_orders, G.encoding.decode
     gens: list[Permutation] = []
     P = trivial_group(G.degree)
     while P.order() < target:
         # the index dict iterates in enumeration order
-        for t, c in zip(index, classes):
+        for t, c in index.items():
             o = orders[c]
             if o % p:
                 continue  # a p'-element's p-part is the identity
@@ -259,8 +260,8 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
 
 def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) -> set[int]:
     """The classes of G, the group of ``table``, that lie wholly in its
-    subgroup P, given the words of P's members (``P.closure()[0]``), which
-    are in G's encoding since P has G's degree.
+    subgroup P, given the words of P's members (``P.closure()[0]``, P's
+    index), which are in G's encoding since P has G's degree.
     For P Sylow their union is O_p(G), the intersection of the conjugates
     of P: its order is the sum of their sizes and its exponent the lcm of
     their rep orders.
@@ -268,8 +269,7 @@ def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) 
     A class lies in P exactly when P holds all its members, so P's members
     are counted per class, not listed.
     """
-    index, classes = table.index, table.classes
-    hits = Counter(classes[index[t]] for t in members)
+    hits = Counter(map(table.index.__getitem__, members))
     return {c for c, n in hits.items() if n == table.sizes[c]}
 
 

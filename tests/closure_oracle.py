@@ -4,8 +4,10 @@ oracles: both compose image tuples.
 
 ``tuple_closure`` returns the image tuples in closure order with their
 ``tuple -> index`` dict and the Cayley columns and tree, as
-``PermGroup.closure`` did; ``tuple_power_map`` recomputes a class table's
-power map and rep orders from its reps by successive tuple products.
+``PermGroup.closure`` did when it also returned its word list;
+``tuple_power_map`` recomputes a class table's power map and rep orders
+from its reps by successive tuple products, reading each power's class
+off the table's ``word -> class`` index.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ def tuple_power_map(table) -> tuple[list[list[int]], list[int]]:
     products up to the identity, and every class in that row derives its
     own row from it."""
     decode = table.group.encoding.decode
-    index = {decode(w): i for w, i in table.index.items()}
-    classes, reps = table.classes, table.reps
+    index = {decode(w): c for w, c in table.index.items()}
+    reps = table.reps
     identity = reps[0].images
     rows: list[list[int] | None] = [None] * len(reps)
     for c, rep in enumerate(reps):
@@ -62,7 +64,7 @@ def tuple_power_map(table) -> tuple[list[list[int]], list[int]]:
         x = images = rep.images
         row = [0]
         while x != identity:
-            row.append(classes[index[x]])
+            row.append(index[x])
             x = then_images(x, images)
         rows[c] = row
         o = len(row)

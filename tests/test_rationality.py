@@ -399,9 +399,7 @@ class TestClassConjugators:
                     w for w in map(a.G.encoding.encode, class_conjugators(a.G, table.reps[c]))
                     if w in sub.table.index
                 )
-                verdict = sub.classes[
-                    sub.table.classes[sub.table.index[member]]
-                ].is_inverse_semirational
+                verdict = sub.classes[sub.table.index[member]].is_inverse_semirational
                 assert walk[c] == verdict, (record.id, c)
                 checked += 1
         assert checked > 100

@@ -1,7 +1,10 @@
 import functools
+import gc
 import math
 import random
 import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -148,14 +151,13 @@ def tuple_sweep_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
         reps.append(x)
         sizes.append(len(members))
     encode = G.encoding.encode
-    index = {encode(t): i for i, t in enumerate(class_of)}
-    return ClassTable(G, reps, sizes, index, list(class_of.values()))
+    return ClassTable(G, reps, sizes, {encode(t): c for t, c in class_of.items()})
 
 
 def class_map(T: ClassTable) -> dict[tuple[int, ...], int]:
     """The class of every element of T's group, keyed by image tuple."""
     decode = T.group.encoding.decode
-    return {decode(w): T.classes[i] for w, i in T.index.items()}
+    return {decode(w): c for w, c in T.index.items()}
 
 
 @st.composite
@@ -288,7 +290,7 @@ class TestConjugacyClasses:
 
 
 class TestIndexSweepAgainstTupleSweep:
-    """conjugacy_classes sweeps element indices; the tuple sweep it replaced
+    """conjugacy_classes sweeps element positions; the tuple sweep it replaced
     is the oracle, and reps, sizes and the class of every element must
     agree exactly."""
 
@@ -299,6 +301,9 @@ class TestIndexSweepAgainstTupleSweep:
         assert T.reps == oracle.reps
         assert T.sizes == oracle.sizes
         assert class_map(T) == class_map(oracle)
+        # the index maps every element to its class: each class c is the
+        # value of exactly sizes[c] words
+        assert Counter(T.index.values()) == dict(enumerate(T.sizes))
 
     @settings(max_examples=80, deadline=None)
     @given(random_groups_with_degree_one())
@@ -313,7 +318,7 @@ class TestIndexSweepAgainstTupleSweep:
         G = alternating(4)
         T = conjugacy_classes(G)
         members = [e.images for e in G.elements()]
-        assert list(map(G.encoding.decode, T.index)) == members and len(T.classes) == 12
+        assert list(map(G.encoding.decode, T.index)) == members and len(T.index) == 12
         odd = parse_permutation("(1 2)", 4)
         assert G.encoding.encode(odd.images) not in T.index
         with pytest.raises(ValueError, match="not a member"):
@@ -335,6 +340,26 @@ class TestIndexSweepAgainstTupleSweep:
     @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
     def test_near_cap_groups(self, G):
         self.assert_same_table(G)
+
+    def test_table_of_s8_retains_one_dict(self):
+        # the word -> class dict, reps and power map retain about 2.8 MiB;
+        # a position int per element beside a list of the class of each
+        # position would add about 1.5 MiB, over the bound
+        G = symmetric(8)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            T = conjugacy_classes(G)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(T.index) == 40320
+        assert retained < 3.5 * 2 ** 20
 
 
 class TestPowerMapAgainstTupleWalk:
