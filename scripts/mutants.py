@@ -9,10 +9,10 @@ the mutant replaces it by ``new``.  For each mutant the tracked files of
 this checkout's working tree are extracted into a fresh temporary
 directory, the way ``scripts/bench_pairs.py`` extracts its change side; the
 copy is edited and pytest runs the named tests there, so the checkout is
-never written.  A mutant is *killed* when its tests fail or run past
-TIMEOUT, and *survived* when they pass.  A run that ends any other way (a
-test id that no longer exists, a collection error) is an *error*, never a
-kill.  First the unmutated extract must pass every named test.
+never written.  A mutant is *killed* when its tests fail (a MemoryError
+past MEMORY included) or run past TIMEOUT, and *survived* when they pass.
+A run that ends any other way (a test id that no longer exists, a
+collection error) is an *error*, never a kill.  First the unmutated extract must pass every named test.
 
 The exit status is 1 when a mutant survived or erred.  A survivor is a gap
 in the tests: it stays in the list, and the tests gain the case that
@@ -21,6 +21,7 @@ kills it.
 
 from __future__ import annotations
 
+import resource
 import subprocess
 import sys
 import tempfile
@@ -31,21 +32,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ENV, extract, git  # noqa: E402
 
 TIMEOUT = 600  # seconds per run of a mutant's tests
+# bytes of address space per run: a mutant whose build never ends fails on
+# a MemoryError instead of growing until the timeout
+MEMORY = 2 * 2 ** 30
 
+GROUP = "src/cutgroups/group.py"
 STRUCTURE = "src/cutgroups/structure.py"
 RATIONALITY = "src/cutgroups/rationality.py"
+CLI = "src/cutgroups/cli.py"
+CLOSURE = "tests/test_group.py::TestClosureAgainstTupleClosure"
+CHAIN = "tests/test_group.py::TestChainAgainstOracle"
 SWEEP = "tests/test_structure.py::TestIndexSweepAgainstTupleSweep"
 DEFINITIONS = "tests/test_rationality.py::TestBruteforceOracle"
 
 MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     # the class layer: the index, the sweep and the readers of the table
     ("index-rewrite-off-by-one", STRUCTURE,
-     "index.update(zip(index, cls))",
-     "index.update(zip(index, cls[1:] + cls[:1]))",
+     "index[z] = idx",
+     "index[z] = idx + 1",
      [SWEEP]),
     ("sweep-follows-first-generator-only", STRUCTURE,
-     "if cls[z] < 0:",
-     "if cls[z] < 0 and action is actions[0]:",
+     "for g_inv, g_table in conjugators:",
+     "for g_inv, g_table in conjugators[:1]:",
+     [SWEEP]),
+    ("sweep-right-multiplies", STRUCTURE,
+     "z = compose_words(compose_words(g_inv, y_table), g_table)",
+     "z = compose_words(y, g_table)",
      [SWEEP]),
     ("power-row-holds-the-rep-class", STRUCTURE,
      "row.append(index[x])",
@@ -60,6 +72,24 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
      "if o % p == 0:",
      ["tests/test_structure.py::TestSylow",
       "tests/test_structure.py::TestSylowAgainstEagerScan"]),
+    # the enumeration and the stabilizer chain
+    ("closure-applies-generators-in-reverse", GROUP,
+     "for g in tables:",
+     "for g in tables[::-1]:",
+     [CLOSURE, "tests/test_group.py::TestCayley"]),
+    ("chain-drops-a-schreier-pair", GROUP,
+     "for beta in new for s in gens)",
+     "for beta in new[1:] for s in gens)",
+     [CHAIN]),
+    ("chain-gathers-the-inverse-in-wrong-order", GROUP,
+     "inverses[gamma] = compose(s_inv, inverses[beta]) + pad",
+     "inverses[gamma] = compose(inverses[beta][: len(s_inv)], s_inv + pad) + pad",
+     ["tests/test_group.py::TestChainInverses"]),
+    # the refusals
+    ("refusal-prints-a-second-line", CLI,
+     'print(f"cutgroups: {error}", file=sys.stderr)',
+     'print(f"cutgroups: {error}\\n", file=sys.stderr)',
+     ["tests/test_cli.py::TestUnwritableOut", "tests/test_refusals.py"]),
     # the verdicts
     ("units-without-minus-one", RATIONALITY,
      "return tuple(residues_coprime(n))",
@@ -86,7 +116,8 @@ def run_tests(where: Path, tests: list[str]) -> str:
     env = dict(ENV, PYTHONPATH="src")
     try:
         done = subprocess.run(
-            argv, cwd=where, env=env, capture_output=True, timeout=TIMEOUT
+            argv, cwd=where, env=env, capture_output=True, timeout=TIMEOUT,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY)),
         )
     except subprocess.TimeoutExpired:
         return "timeout"

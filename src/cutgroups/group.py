@@ -14,16 +14,15 @@ changes once made.  The chain's levels (reps, strong generators, Schreier
 queues) are build state: a finished chain is its sift steps, one base
 point and its inverse-rep tables per level.  A group pickles or copies as
 its degree and generators: the copy builds its own chain.  ``closure``
-returns what it computes (the ``word -> position`` dict, keys in
-enumeration order, every product element · generator as a right Cayley
-column on positions, and the tree of first discoveries) to its caller and
-keeps none of it, so each reader owns the enumeration it asked for.
+returns one ordered dict, its keys the words in enumeration order and
+every value None, for the class table to fill with each element's class;
+the group keeps none of it, so each reader owns the enumeration it asked
+for.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from typing import Sequence
 
@@ -234,41 +233,22 @@ class _Chain:
         return [point for point, _, _ in self.steps]
 
 
-# (right, parent, edge): see PermGroup.closure
-Cayley = tuple[list[list[int]], array, array]
-
-
-def _closure(
-    encoding: Encoding, generators: Sequence[Permutation]
-) -> tuple[dict[_Word, int], Cayley]:
+def _closure(encoding: Encoding, generators: Sequence[Permutation]) -> dict[_Word, None]:
     """Breadth-first closure over the generators on words, from the
-    identity, recording every product it takes in the Cayley columns;
-    returns the dict from each word to its position, in enumeration order,
-    and the columns with the tree.  The word list is the closure's queue
-    only: a dict cannot grow while it is walked."""
+    identity; returns the dict whose keys are the words in enumeration
+    order, every value None.  The word list is the closure's queue only: a
+    dict cannot grow while it is walked."""
     compose = encoding.compose
     tables = [encoding.table(encoding.encode(g.images)) for g in generators]
     out = [encoding.identity]
-    index = {encoding.identity: 0}
-    # a column entry is the int object the index holds for that word, so a
-    # column adds one pointer per entry and no int; the tree is packed as
-    # it grows, so no position it records stays boxed
-    right: list[list[int]] = [[] for _ in tables]
-    parent = array("i", [-1])
-    edge = array("i", [-1])
-    steps = [(e, g, column.append) for e, (g, column) in enumerate(zip(tables, right))]
-    n = 1
-    for i, p in enumerate(out):  # grows while it is walked: layer by layer
-        for e, g, record in steps:
+    index = dict.fromkeys(out)
+    for p in out:  # grows while it is walked: layer by layer
+        for g in tables:
             q = compose(p, g)  # apply p, then g
-            j = index.setdefault(q, n)
-            if j == n:
+            if q not in index:
+                index[q] = None
                 out.append(q)
-                parent.append(i)
-                edge.append(e)
-                n += 1
-            record(j)
-    return index, (right, parent, edge)
+    return index
 
 
 class PermGroup:
@@ -320,25 +300,17 @@ class PermGroup:
         chain = self._chain
         return chain.sift(chain._encode(p.images))[0] == chain.identity
 
-    def closure(self, cap: int = DEFAULT_CAP) -> tuple[dict[_Word, int], Cayley]:
-        """``(index, (right, parent, edge))``, built on every call: the
-        dict from each of the |G| elements, as a word of the group's
-        ``encoding`` (``bytes`` up to degree 256, image tuples above;
-        ``encoding.decode`` gives the image tuple), to its position in the
-        breadth-first closure over the generators, with the words as keys
-        in that order, and what the closure computed on those positions.
+    def closure(self, cap: int = DEFAULT_CAP) -> dict[_Word, None]:
+        """The |G| elements, built on every call, as the keys of a dict in
+        the order of the breadth-first closure over the generators, each
+        element a word of the group's ``encoding`` (``bytes`` up to degree
+        256, image tuples above; ``encoding.decode`` gives the image tuple).
+        Every value is None: the dict is the class table's to fill (see
+        ``structure.conjugacy_classes``).
 
         Deterministic order: identity first, then closure layer by layer
         with generators applied in their listed order.  Raises CapExceeded
         when |G| > cap (within_cap, up front).
-
-        With ``words = list(index)``, ``right[e][i]`` is the position of
-        ``words[i] · generators[e]``, and ``words[j] = words[parent[j]] ·
-        generators[edge[j]]`` with ``parent[j] < j`` (the breadth-first
-        tree; the root, the identity, has parent and edge -1).  Each
-        ``right[e]`` is a list whose entries are the very int objects
-        ``index`` holds as values, so a column makes no int of its own;
-        ``parent`` and ``edge`` are ``array('i')``.
         """
         self.within_cap(cap)
         return _closure(self.encoding, self.generators)
@@ -355,7 +327,7 @@ class PermGroup:
         """The words of ``closure(cap)`` as Permutations, in the same
         order; built on every call."""
         decode = self.encoding.decode
-        return [Permutation._trusted(decode(w)) for w in self.closure(cap)[0]]
+        return [Permutation._trusted(decode(w)) for w in self.closure(cap)]
 
     def base_points(self) -> list[int]:
         """Base of the stabilizer chain (0-based, smallest moved first)."""

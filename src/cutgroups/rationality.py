@@ -282,7 +282,7 @@ class Analysis:
     def core(self, p: int) -> set[int]:
         """The classes of G that lie wholly in the Sylow p-subgroup; their
         union is O_p(G)."""
-        return core_classes(self.sylow(p).closure(self.cap)[0], self.table)
+        return core_classes(self.sylow(p).closure(self.cap), self.table)
 
     def p_core(self, p: int) -> tuple[int, int]:
         """Order and exponent of O_p(G), summed over its classes (core); no

@@ -5,15 +5,14 @@ All class-level machinery enumerates the group and is therefore guarded by
 the enumeration cap; generator-level operations (derived subgroup,
 solvability, exp(P/P')) work beyond it.  The class table owns G's
 enumeration: ``conjugacy_classes`` asks ``PermGroup.closure`` for it once,
-turns its ``word -> position`` dict into the table's ``word -> class``
-dict, and drops the rest after the sweep.  Words are in G's ``encoding``
-(``bytes`` up to degree 256), which every subgroup of G shares.  The sweep
-runs on element positions: it reads conjugation off the Cayley columns and
-the breadth-first tree of the closure, makes no word, and wraps only the
-class reps as Permutations.  The power map computes a row by successive
-products of words only for a class that is not a power of an earlier
-one, so at most one row per Galois orbit of classes, and derives every
-other row from it.
+an ordered dict whose values start as None, and its sweep writes each
+element's class into that dict, which becomes the table's ``word -> class``
+index.  Words are in G's ``encoding`` (``bytes`` up to degree 256), which
+every subgroup of G shares.  The sweep conjugates words, two compositions
+per member and generator, and wraps only the class reps as Permutations.
+The power map computes a row by successive products of words only for a
+class that is not a power of an earlier one, so at most one row per Galois
+orbit of classes, and derives every other row from it.
 
 The Sylow scans (_sylow) read element orders off the class table, and
 O_p(G) is the union of the classes of G that lie wholly in a Sylow
@@ -29,9 +28,8 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterable
-from itertools import islice
 
-from .group import DEFAULT_CAP, Cayley, PermGroup, trivial_group
+from .group import DEFAULT_CAP, PermGroup, trivial_group
 from .perm import Permutation, commutator, compose
 
 
@@ -154,64 +152,38 @@ def conjugacy_classes(G: PermGroup, cap: int = DEFAULT_CAP) -> ClassTable:
     each yet-unassigned element in enumeration order.  Not cached: callers
     that need the table more than once keep it.
 
-    The sweep runs on element positions: the conjugation action of each
-    generator is an integer permutation read from the closure's Cayley
-    columns (see _conjugation_actions), and classes are its orbits.  Only
-    the reps are wrapped as Permutations.  Once the sweep ends, each value
-    of the closure's index goes from the element's position to its class,
-    and the table keeps that dict; the columns go when the sweep returns.
+    The sweep writes each element's class into the closure's dict, whose
+    values start as None, and the table keeps that dict.  A member y's
+    conjugate by a generator g is g⁻¹ · y · g, two compositions of words.
+    Only the reps are wrapped as Permutations.
     """
-    index, cayley = G.closure(cap)
-    decode = G.encoding.decode
-    actions = _conjugation_actions(cayley)
-    cls = [-1] * len(index)
+    index = G.closure(cap)
+    encoding = G.encoding
+    compose_words, table, decode = encoding.compose, encoding.table, encoding.decode
+    conjugators = []
+    for g in G.generators:
+        word = encoding.encode(g.images)
+        conjugators.append((encoding.invert(word), table(word)))
     reps: list[Permutation] = []
     sizes: list[int] = []
-    # the index walks its words in position order, beside their classes
-    for x, (c, word) in enumerate(zip(cls, index)):
-        if c >= 0:
+    # the sweep only sets the values of keys the dict already holds, so the
+    # dict may be written while it is walked
+    for word, c in index.items():
+        if c is not None:
             continue
         idx = len(reps)
-        cls[x] = idx
-        members = [x]
+        index[word] = idx
+        members = [word]
         for y in members:  # grows while it is walked: the breadth-first queue
-            for action in actions:
-                z = action[y]
-                if cls[z] < 0:
-                    cls[z] = idx
+            y_table = table(y)
+            for g_inv, g_table in conjugators:
+                z = compose_words(compose_words(g_inv, y_table), g_table)
+                if index[z] is None:
+                    index[z] = idx
                     members.append(z)
         reps.append(Permutation._trusted(decode(word)))
         sizes.append(len(members))
-    # the values are the positions 0..n-1 in key order: one C pass sets each
-    # to its class, and the position ints go
-    index.update(zip(index, cls))
     return ClassTable(G, reps, sizes, index)
-
-
-def _conjugation_actions(cayley: Cayley) -> list[list[int]]:
-    """For each generator g, the list whose entry j is the position of
-    elements[j] ** g = g⁻¹ · elements[j] · g.
-
-    One pass over the enumeration's tree gives left[j], the position of
-    g⁻¹ · elements[j], since g⁻¹ · elements[j] = (g⁻¹ · elements[parent[j]])
-    · g_edge[j]; the conjugate is then the right Cayley column of g read at
-    left[j].
-    """
-    right, parent, edge = cayley
-    # the columns' entries are the closure index's int objects, one per
-    # element, and so are left and the actions built from them
-    actions = []
-    for right_g in right:
-        # g⁻¹ is the last power of g before the identity; g is right_g[0]
-        inverse, k = 0, right_g[0]
-        while k:
-            inverse, k = k, right_g[k]
-        left = [inverse]
-        push = left.append
-        for i, e in islice(zip(parent, edge), 1, None):  # the tree below the root
-            push(right[e][left[i]])
-        actions.append(list(map(right_g.__getitem__, left)))
-    return actions
 
 
 def _normalizes(g: Permutation, H: PermGroup) -> bool:
@@ -260,8 +232,8 @@ def _sylow(table: ClassTable, p: int) -> PermGroup:
 
 def core_classes(members: Iterable[bytes | tuple[int, ...]], table: ClassTable) -> set[int]:
     """The classes of G, the group of ``table``, that lie wholly in its
-    subgroup P, given the words of P's members (``P.closure()[0]``, P's
-    index), which are in G's encoding since P has G's degree.
+    subgroup P, given the words of P's members (the keys of
+    ``P.closure()``), which are in G's encoding since P has G's degree.
     For P Sylow their union is O_p(G), the intersection of the conjugates
     of P: its order is the sum of their sizes and its exponent the lcm of
     their rep orders.

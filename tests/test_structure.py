@@ -290,9 +290,9 @@ class TestConjugacyClasses:
 
 
 class TestIndexSweepAgainstTupleSweep:
-    """conjugacy_classes sweeps element positions; the tuple sweep it replaced
-    is the oracle, and reps, sizes and the class of every element must
-    agree exactly."""
+    """conjugacy_classes sweeps the words of the group's encoding; the tuple
+    sweep it replaced is the oracle, and reps, sizes and the class of every
+    element must agree exactly."""
 
     @staticmethod
     def assert_same_table(G):
@@ -341,6 +341,15 @@ class TestIndexSweepAgainstTupleSweep:
     def test_near_cap_groups(self, G):
         self.assert_same_table(G)
 
+    def test_group_above_a_byte(self):
+        # C5 x C5 on 300 points: words are image tuples, conjugated by
+        # then_images with inverses from invert_images
+        a = Permutation([*range(1, 5), 0, *range(5, 300)])
+        b = Permutation([*range(295), *range(296, 300), 295])
+        G = PermGroup(300, [a, b])
+        assert G.order() == 25 and type(G.encoding.identity) is tuple
+        self.assert_same_table(G)
+
     def test_table_of_s8_retains_one_dict(self):
         # the word -> class dict, reps and power map retain about 2.8 MiB;
         # a position int per element beside a list of the class of each
@@ -360,6 +369,27 @@ class TestIndexSweepAgainstTupleSweep:
                 tracemalloc.stop()
         assert len(T.index) == 40320
         assert retained < 3.5 * 2 ** 20
+
+    def test_sweep_of_s8_peaks_near_its_table(self):
+        # the table retains about 2.8 MiB and peaks at about 3.2 MiB, inside
+        # the closure (its queue and the dict's last resize), not the sweep;
+        # right Cayley columns, a tree, one conjugation action per generator
+        # and a position int per element peaked at about 6.1 MiB
+        G = symmetric(8)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T = conjugacy_classes(G)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(T.index) == 40320
+        assert peak < 4.0 * 2 ** 20
 
 
 class TestPowerMapAgainstTupleWalk:
