@@ -85,6 +85,10 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
      "inverses[gamma] = compose(s_inv, inverses[beta]) + pad",
      "inverses[gamma] = compose(inverses[beta][: len(s_inv)], s_inv + pad) + pad",
      ["tests/test_group.py::TestChainInverses"]),
+    ("sift-reports-passing-every-level", GROUP,
+     "return word, depth",
+     "return word, len(steps)",
+     [CHAIN]),
     # the refusals
     ("refusal-prints-a-second-line", CLI,
      'print(f"cutgroups: {error}", file=sys.stderr)',

@@ -8,12 +8,13 @@ the element ordering that all downstream class indexing relies on.  Both
 hold elements as words of the degree's ``Encoding``: up to degree 256 a
 word is ``bytes``, one point per byte, and two words compose with one
 ``bytes.translate``; above 256 a byte cannot hold a point, and a word is
-an image tuple.  A group holds its generators, their encoding and the
-chain, nothing else; its constructor builds the chain, so a group never
-changes once made.  The chain's levels (reps, strong generators, Schreier
-queues) are build state: a finished chain is its sift steps, one base
-point and its inverse-rep tables per level.  A group pickles or copies as
-its degree and generators: the copy builds its own chain.  ``closure``
+an image tuple.  A group holds its generators, their encoding, its sift
+steps (one base point and its inverse-rep tables per level, which
+``_sift`` walks for membership) and the order they give; nothing else.
+``_Chain`` is the build only: the constructor runs it and keeps its
+steps, and its levels (reps, strong generators, Schreier queues) go with
+it, so a group never changes once made.  A group pickles or copies as its
+degree and generators: the copy builds its own steps.  ``closure``
 returns one ordered dict, its keys the words in enumeration order and
 every value None, for the class table to fill with each element's class;
 the group keeps none of it, so each reader owns the enumeration it asked
@@ -80,9 +81,9 @@ class Encoding:
 
 class _ChainLevel:
     """One level of a stabilizer chain while it is built, in the group's
-    ``Encoding`` of words and tables.  Levels are build state: a finished
-    chain keeps only each level's ``point`` and ``inverses`` in its sift
-    steps, and the rest goes with the level.
+    ``Encoding`` of words and tables.  Levels are build state: a group
+    keeps only each level's ``point`` and ``inverses`` in its sift steps,
+    and the rest goes with the level.
 
     ``gens`` is S_L as tables, every strong generator that reached this
     level, so ``<gens>`` is this level's group and fixes every earlier base
@@ -133,66 +134,54 @@ class _ChainLevel:
         self.pending.extend((beta, s) for beta in new for s in gens)
 
 
+def _sift(
+    steps: list[tuple[int, dict[int, _Word], int]], compose, word: _Word, start: int = 0
+) -> tuple[_Word, int]:
+    """Sift a word down a group's sift steps from level ``start``; returns
+    the residue and the depth where it stopped (``len(steps)`` when it
+    passed all).  ``compose`` is the steps' encoding's."""
+    for point, inverses, depth in steps[start:] if start else steps:
+        beta = word[point]
+        if beta != point:
+            inverse = inverses.get(beta)
+            if inverse is None:
+                return word, depth
+            word = compose(word, inverse)
+    return word, len(steps)
+
+
 class _Chain:
-    """A base and strong generating set, built by incremental Schreier-Sims
-    (Seress, *Permutation Group Algorithms*, ch. 4; Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, section 4.4).
+    """The build of a base and strong generating set by incremental
+    Schreier-Sims (Seress, *Permutation Group Algorithms*, ch. 4; Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, section 4.4).
+    ``PermGroup.__init__`` makes one and keeps only its ``steps``.
 
     A level's base point is the smallest point moved by the first strong
     generator that reaches it, so the base is a function of the generator
     list.  Each Schreier pair (beta, s) of a level is queued once, when the
     later of beta and s arrives, and sifted once.  By Schreier's lemma, once
     every pair has sifted to the identity each level's orbit times the order
-    below is the group order, set as ``order`` once the build ends, and
-    sifting decides membership.
+    below is the group order, and sifting decides membership.
 
     Elements are words in the group's ``Encoding``; only right-hand factors
-    (strong generators and inverse reps) are kept as tables.  No element of
-    the chain leaves it: ``PermGroup.contains`` encodes its query once.
-
-    A finished chain is its sift steps: ``steps`` holds one ``(point,
-    inverses, depth)`` tuple per level, ``inverses`` the level's own dict,
-    so that a sift step loads no attribute, and the chain keeps the
-    encoding's identity, encode and compose as its own slots, so that a
-    membership query reads them in one attribute load each.  The levels,
-    the encoding and the one identity table that every level's base point
-    shares are build state: ``__init__`` drops them before it returns, so
-    no reps, Schreier queue or strong generator outlives the build.
+    (strong generators and inverse reps) are kept as tables.  ``steps``
+    holds one ``(point, inverses, depth)`` tuple per level, ``inverses`` the
+    level's own dict, so that a sift step loads no attribute; every level's
+    base point shares the one ``identity_table``.
     """
 
-    __slots__ = (
-        "identity", "steps", "order", "_encode", "_compose",
-        "encoding", "levels", "identity_table",  # build state
-    )
+    __slots__ = ("encoding", "levels", "steps", "identity_table")
 
     def __init__(self, encoding: Encoding, generators: Sequence[Permutation]):
-        self.identity = encoding.identity
-        self._encode, self._compose = encoding.encode, encoding.compose
-        self.steps: list[tuple[int, dict[int, _Word], int]] = []
         self.encoding = encoding
         self.levels: list[_ChainLevel] = []
-        self.identity_table = encoding.table(self.identity)
+        self.steps: list[tuple[int, dict[int, _Word], int]] = []
+        self.identity_table = encoding.table(encoding.identity)
         for g in generators:
-            residue, depth = self.sift(self._encode(g.images))
-            if residue != self.identity:
+            residue, depth = _sift(self.steps, encoding.compose, encoding.encode(g.images))
+            if residue != encoding.identity:
                 self._insert(residue, 0, depth)
                 self._close(depth)
-        # each orbit is its level's inverse-rep key set
-        self.order = math.prod(len(inverses) for _, inverses, _ in self.steps)
-        del self.encoding, self.levels, self.identity_table
-
-    def sift(self, word: _Word, start: int = 0) -> tuple[_Word, int]:
-        """Sift a word down from level ``start``; returns the residue and
-        the depth where it stopped (``len(steps)`` when it passed all)."""
-        steps, compose = self.steps, self._compose
-        for point, inverses, depth in steps[start:] if start else steps:
-            beta = word[point]
-            if beta != point:
-                inverse = inverses.get(beta)
-                if inverse is None:
-                    return word, depth
-                word = compose(word, inverse)
-        return word, len(steps)
 
     def _insert(self, g: _Word, start: int, depth: int) -> None:
         """g fixes the base points above ``depth``: it is a new strong
@@ -201,7 +190,7 @@ class _Chain:
         encoding = self.encoding
         if depth == len(self.levels):
             point = next(i for i, j in enumerate(g) if i != j)
-            level = _ChainLevel(point, self.identity, self.identity_table)
+            level = _ChainLevel(point, encoding.identity, self.identity_table)
             self.levels.append(level)
             self.steps.append((point, level.inverses, depth))
         g_table, g_inv = encoding.table(g), encoding.invert(g)
@@ -212,7 +201,8 @@ class _Chain:
         """Sift the pending Schreier pairs, deepest level first; a residue
         joins the levels below the pair's level only, since it already lies
         in that level's group."""
-        levels, compose = self.levels, self._compose
+        levels, steps = self.levels, self.steps
+        compose, identity = self.encoding.compose, self.encoding.identity
         while depth >= 0:
             level = levels[depth]
             if not level.pending:
@@ -224,31 +214,10 @@ class _Chain:
             if moved == level.reps[gamma]:
                 continue  # a tree edge: the Schreier generator is trivial
             schreier = compose(moved, level.inverses[gamma])
-            residue, stop = self.sift(schreier, depth + 1)
-            if residue != self.identity:
+            residue, stop = _sift(steps, compose, schreier, depth + 1)
+            if residue != identity:
                 self._insert(residue, depth + 1, stop)
                 depth = stop
-
-    def base_points(self) -> list[int]:
-        return [point for point, _, _ in self.steps]
-
-
-def _closure(encoding: Encoding, generators: Sequence[Permutation]) -> dict[_Word, None]:
-    """Breadth-first closure over the generators on words, from the
-    identity; returns the dict whose keys are the words in enumeration
-    order, every value None.  The word list is the closure's queue only: a
-    dict cannot grow while it is walked."""
-    compose = encoding.compose
-    tables = [encoding.table(encoding.encode(g.images)) for g in generators]
-    out = [encoding.identity]
-    index = dict.fromkeys(out)
-    for p in out:  # grows while it is walked: layer by layer
-        for g in tables:
-            q = compose(p, g)  # apply p, then g
-            if q not in index:
-                index[q] = None
-                out.append(q)
-    return index
 
 
 class PermGroup:
@@ -256,15 +225,16 @@ class PermGroup:
 
     The identity is always a member, even if not listed.  A group holds
     only what order and membership need: its generators, the ``Encoding``
-    of its degree, and the stabilizer chain, which the constructor builds,
-    so a group never changes once made and concurrent readers share it.
-    Every enumeration is built when it is asked for and belongs to the
+    of its degree, and the sift steps of its stabilizer chain with the
+    order they give.  The constructor runs the chain's build and keeps its
+    steps, so a group never changes once made and concurrent readers share
+    it.  Every enumeration is built when it is asked for and belongs to the
     caller; the slots keep anything else from being stored on a group.  A
     pickle or copy carries the degree and generators only: the receiver's
-    constructor builds its own chain.
+    constructor builds its own steps.
     """
 
-    __slots__ = ("degree", "generators", "encoding", "_chain")
+    __slots__ = ("degree", "generators", "encoding", "_steps", "_order")
 
     def __init__(self, degree: int, generators: Sequence[Permutation]):
         if degree < 1:
@@ -280,7 +250,9 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self.encoding = Encoding(degree)
-        self._chain = _Chain(self.encoding, gens)
+        self._steps = _Chain(self.encoding, gens).steps
+        # each orbit is its level's inverse-rep key set
+        self._order = math.prod(len(inverses) for _, inverses, _ in self._steps)
 
     def __reduce__(self):
         return PermGroup, (self.degree, self.generators)
@@ -290,15 +262,16 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
     def order(self) -> int:
-        return self._chain.order
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(
                 f"permutation degree {p.degree} != group degree {self.degree}"
             )
-        chain = self._chain
-        return chain.sift(chain._encode(p.images))[0] == chain.identity
+        encoding = self.encoding
+        word = encoding.encode(p.images)
+        return _sift(self._steps, encoding.compose, word)[0] == encoding.identity
 
     def closure(self, cap: int = DEFAULT_CAP) -> dict[_Word, None]:
         """The |G| elements, built on every call, as the keys of a dict in
@@ -313,7 +286,20 @@ class PermGroup:
         when |G| > cap (within_cap, up front).
         """
         self.within_cap(cap)
-        return _closure(self.encoding, self.generators)
+        encoding = self.encoding
+        compose = encoding.compose
+        tables = [encoding.table(encoding.encode(g.images)) for g in self.generators]
+        # the word list is the closure's queue only: a dict cannot grow
+        # while it is walked
+        out = [encoding.identity]
+        index = dict.fromkeys(out)
+        for p in out:  # grows while it is walked: layer by layer
+            for g in tables:
+                q = compose(p, g)  # apply p, then g
+                if q not in index:
+                    index[q] = None
+                    out.append(q)
+        return index
 
     def within_cap(self, cap: int = DEFAULT_CAP) -> int:
         """|G|, or CapExceeded when it is above ``cap``: the package's one
@@ -328,10 +314,6 @@ class PermGroup:
         order; built on every call."""
         decode = self.encoding.decode
         return [Permutation._trusted(decode(w)) for w in self.closure(cap)]
-
-    def base_points(self) -> list[int]:
-        """Base of the stabilizer chain (0-based, smallest moved first)."""
-        return self._chain.base_points()
 
 
 def trivial_group(degree: int) -> PermGroup:

@@ -186,8 +186,8 @@ class TestRunSurvey:
         assert len(records) == 172
 
     def test_serial_survey_reuses_each_record_chain(self, monkeypatch):
-        # each record's group holds its chain from parse_corpus on, and a
-        # serial survey analyzes record.group itself on that chain
+        # each record's group holds its sift steps from parse_corpus on, and
+        # a serial survey analyzes record.group itself on those steps
         analyzed = []
         analysis = corpus.Analysis
 
@@ -197,11 +197,11 @@ class TestRunSurvey:
 
         monkeypatch.setattr(corpus, "Analysis", recording)
         records = sorted(parse_corpus(bundled_corpus_path()), key=lambda r: r.id)
-        chains = [r.group._chain for r in records]
+        steps = [r.group._steps for r in records]
         report = run_survey(records)
         assert len(report.rows) == len(records) == 172
         assert all(G is r.group for G, r in zip(analyzed, records, strict=True))
-        assert all(r.group._chain is c for r, c in zip(records, chains, strict=True))
+        assert all(r.group._steps is s for r, s in zip(records, steps, strict=True))
         # a group has slots only: no analysis can be stashed on it
         with pytest.raises(AttributeError):
             records[0].group.table = None

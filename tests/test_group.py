@@ -41,6 +41,12 @@ def brute_closure(gens):
     return seen
 
 
+def base_points(G):
+    """The base of G's stabilizer chain (0-based, smallest moved first), read
+    off its sift steps."""
+    return [point for point, _, _ in G._steps]
+
+
 class TestConstruction:
     def test_trivial_group(self):
         G = PermGroup(1, [Permutation.identity(1)])
@@ -75,7 +81,7 @@ class TestPickle:
 
     def test_a_group_holds_its_chain_when_made(self):
         G = PermGroup(4, [parse_permutation("(1 2 3 4)", 4)])
-        assert isinstance(G._chain, _Chain) and G._chain.order == 4
+        assert base_points(G) == [0] and G.order() == 4
 
     @pytest.mark.parametrize(
         "duplicate", [lambda G: pickle.loads(pickle.dumps(G)), copy.copy],
@@ -84,8 +90,8 @@ class TestPickle:
     def test_copy_holds_its_own_chain(self, duplicate):
         G = alternating(6)
         H = duplicate(G)
-        assert isinstance(H._chain, _Chain) and H._chain is not G._chain
-        assert H.base_points() == G.base_points()
+        assert H._steps is not G._steps
+        assert base_points(H) == base_points(G)
         assert H.order() == G.order() == 360
         odd = parse_permutation("(1 2)", 6)
         for g in (*G.generators, odd):
@@ -310,7 +316,7 @@ class TestOneEnumeration:
 class TestChain:
     def test_base_points_smallest_moved_first(self):
         G = symmetric(4)
-        base = G.base_points()
+        base = base_points(G)
         assert base == sorted(base)
         assert base[0] == 0
 
@@ -337,8 +343,8 @@ class TestChain:
     )
     def test_base_points_deterministic(self, make):
         gens = make().generators
-        first = PermGroup(gens[0].degree, gens).base_points()
-        second = PermGroup(gens[0].degree, list(gens)).base_points()
+        first = base_points(PermGroup(gens[0].degree, gens))
+        second = base_points(PermGroup(gens[0].degree, list(gens)))
         assert first == second
         assert len(set(first)) == len(first)
 
@@ -396,37 +402,38 @@ def assert_steps_mirror_levels(chain):
         assert inverses is level.inverses
 
 
-def held_by(chain):
-    """Every object a chain holds, through its slots and the lists, tuples
+def held_by(G):
+    """Every object a group holds, through its slots and the lists, tuples
     and dicts below them."""
-    seen, stack = {}, [chain]
+    seen, stack = {}, [G]
     while stack:
         obj = stack.pop()
         if id(obj) not in seen:
             seen[id(obj)] = obj
-            if isinstance(obj, (_Chain, list, tuple, dict)):
+            if isinstance(obj, (PermGroup, list, tuple, dict)):
                 stack.extend(gc.get_referents(obj))
     return list(seen.values())
 
 
-def assert_only_sift_steps(chain):
-    """A finished chain holds its steps and no build state: no level, no
-    Schreier queue, and no word but the identity and the inverse tables,
-    so no rep or strong generator; one identity table serves every level."""
-    assert not any(hasattr(chain, slot) for slot in ("levels", "encoding", "identity_table"))
-    tables = {id(t) for _, inverses, _ in chain.steps for t in inverses.values()}
-    for obj in held_by(chain):
-        assert not isinstance(obj, (_ChainLevel, deque))
+def assert_only_sift_steps(G):
+    """A group holds its chain's steps and no build state: no chain, no
+    level, no Schreier queue, and no word but the identity and the inverse
+    tables, so no rep or strong generator; one identity table serves every
+    level."""
+    tables = {id(t) for _, inverses, _ in G._steps for t in inverses.values()}
+    for obj in held_by(G):
+        assert not isinstance(obj, (_Chain, _ChainLevel, deque))
         if isinstance(obj, bytes) or (isinstance(obj, tuple) and len(obj) > 256):
-            assert obj is chain.identity or id(obj) in tables
-    assert len({id(inverses[point]) for point, inverses, _ in chain.steps}) <= 1
+            assert obj is G.encoding.identity or id(obj) in tables
+    assert len({id(inverses[point]) for point, inverses, _ in G._steps}) <= 1
 
 
 class TestChainSteps:
     """The sift walks ``steps``, one (point, inverses, depth) tuple per
     level; the tuples hold the levels' own dicts, so an orbit that grows
-    after its level was made is seen by the sift.  The levels are build
-    state: once the build ends, the steps are all the chain keeps."""
+    after its level was made is seen by the sift.  The chain and its levels
+    are build state: once the build ends, the steps are all the group
+    keeps of them."""
 
     @settings(max_examples=150, deadline=None)
     @given(generators_and_queries())
@@ -439,8 +446,8 @@ class TestChainSteps:
             assert_steps_mirror_levels(chain)
 
         with mock.patch.object(_Chain, "_insert", checked):
-            chain = PermGroup(gens[0].degree, gens)._chain
-        assert_only_sift_steps(chain)
+            G = PermGroup(gens[0].degree, gens)
+        assert_only_sift_steps(G)
 
 
 class TestChainInverses:

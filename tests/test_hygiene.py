@@ -3,12 +3,14 @@ example."""
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import cutgroups
+from cutgroups import constructions, group
 from cutgroups.group import PermGroup
 
 MODULES = sorted(
@@ -256,6 +258,65 @@ def test_traced_permgroup_methods_exist():
     ]
     assert methods
     assert [m for m in methods if m not in PermGroup.__dict__] == []
+
+
+# the names a test may call to build a group: the constructions and group
+# functions that return one, the class itself and the corpus parser
+GROUP_BUILDERS = {
+    name
+    for module in (constructions, group)
+    for name, f in vars(module).items()
+    if inspect.isfunction(f) and f.__annotations__.get("return") in ("PermGroup", PermGroup)
+} | {"PermGroup", "parse_corpus"}
+
+
+def called_name(func: ast.expr) -> str | None:
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def eager_group_parameters(source: str) -> list[str]:
+    """Calls of a group builder in the arguments of a ``parametrize``, outside
+    a lambda.  Each builds its group when the module is imported, so a chain
+    build that never ends would hang the collection of the whole module
+    before any test could fail; a builder lambda builds it in its test."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and called_name(node.func) == "parametrize"):
+            continue
+        stack = [*node.args, *(keyword.value for keyword in node.keywords)]
+        while stack:
+            arg = stack.pop()
+            if isinstance(arg, ast.Lambda):
+                continue
+            if isinstance(arg, ast.Call) and called_name(arg.func) in GROUP_BUILDERS:
+                found.append((arg.lineno, f"{called_name(arg.func)} (line {arg.lineno})"))
+            stack.extend(ast.iter_child_nodes(arg))
+    return [name for _, name in sorted(found)]
+
+
+def test_scanner_finds_an_eager_group_parameter():
+    source = (
+        "@pytest.mark.parametrize('G', [symmetric(4), lambda: cyclic(3)])\n"
+        "def test_a(G): pass\n"
+        "@parametrize('make,p', [(lambda: alternating(5), 2)], ids=[str(PermGroup)])\n"
+        "def test_b(make, p): pass\n"
+        "pytestmark = pytest.mark.parametrize(\n"
+        "    'r', [pytest.param(r, id=r.id) for r in parse_corpus(path)])\n"
+        "@pytest.mark.parametrize('n', [cyclic(2).order(), group.trivial_group(1)])\n"
+        "def test_c(n): pass\n"
+        "GROUPS = [symmetric(5)]\n"
+    )
+    assert eager_group_parameters(source) == [
+        "symmetric (line 1)", "parse_corpus (line 6)", "cyclic (line 7)",
+        "trivial_group (line 7)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_parametrized_groups_are_built_in_their_tests(path):
+    assert eager_group_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def threading_imports(source: str) -> list[str]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -52,6 +53,23 @@ from cutgroups.constructions import (
     sylnorm,
     symmetric,
 )
+
+# the bundled record ids, read off the corpus's "group" lines, so that a
+# parametrization over the records builds no group at import
+BUNDLED_IDS = [
+    line.split()[1]
+    for line in bundled_corpus_path().read_text(encoding="utf-8").splitlines()
+    if line.startswith("group ")
+]
+
+
+@functools.cache
+def bundled_groups() -> dict:
+    return {r.id: r.group for r in parse_corpus(bundled_corpus_path())}
+
+
+def test_bundled_ids_are_the_records():
+    assert BUNDLED_IDS == list(bundled_groups()) and len(BUNDLED_IDS) == 172
 
 
 class TestResidues:
@@ -121,10 +139,13 @@ class TestClassifyClass:
         assert r.field_degree == 4
 
     @pytest.mark.parametrize(
-        "G", [symmetric(4), dicyclic(3), cyclic(12), dihedral(6), alternating(5)],
+        "make",
+        [lambda: symmetric(4), lambda: dicyclic(3), lambda: cyclic(12), lambda: dihedral(6),
+         lambda: alternating(5)],
         ids=["S4", "Dic3", "C12", "D12", "A5"],
     )
-    def test_column_field_equivalence(self, G):
+    def test_column_field_equivalence(self, make):
+        G = make()
         # inverse semi-rational iff the column field is Q or imaginary quadratic
         T = conjugacy_classes(G)
         for c in range(len(T)):
@@ -178,20 +199,24 @@ class TestBruteforceOracle:
         assert is_cut_bruteforce(symmetric(3))
 
     @pytest.mark.parametrize(
-        "G",
-        [cyclic(6), cyclic(8), dicyclic(2), dicyclic(3), dicyclic(4), symmetric(4),
-         dihedral(4), dihedral(5), alternating(4), alternating(5), sylnorm(5),
-         direct_product(symmetric(3), cyclic(4))],
+        "make",
+        [lambda: cyclic(6), lambda: cyclic(8), lambda: dicyclic(2), lambda: dicyclic(3),
+         lambda: dicyclic(4), lambda: symmetric(4), lambda: dihedral(4), lambda: dihedral(5),
+         lambda: alternating(4), lambda: alternating(5), lambda: sylnorm(5),
+         lambda: direct_product(symmetric(3), cyclic(4))],
         ids=["C6", "C8", "Q8", "Dic3", "Q16", "S4", "D8", "D10", "A4", "A5", "F20", "S3xC4"],
     )
-    def test_oracle_matches_class_computation(self, G):
+    def test_oracle_matches_class_computation(self, make):
+        G = make()
         assert group_rationality(G).is_cut == is_cut_bruteforce(G)
 
-    @pytest.mark.parametrize("G,rational,semirational", [
-        (cyclic(2), True, True), (cyclic(3), False, True), (cyclic(5), False, False),
-        (symmetric(4), True, True), (dicyclic(3), False, True),
+    @pytest.mark.parametrize("make,rational,semirational", [
+        (lambda: cyclic(2), True, True), (lambda: cyclic(3), False, True),
+        (lambda: cyclic(5), False, False), (lambda: symmetric(4), True, True),
+        (lambda: dicyclic(3), False, True),
     ], ids=["C2", "C3", "C5", "S4", "Dic3"])
-    def test_definition_oracles_on_known_groups(self, G, rational, semirational):
+    def test_definition_oracles_on_known_groups(self, make, rational, semirational):
+        G = make()
         assert is_rational_bruteforce(G) is rational
         assert is_semirational_bruteforce(G) is semirational
 
@@ -237,10 +262,13 @@ class TestQgDegree:
         assert qg_degree(cyclic(5)) == 4
 
     @pytest.mark.parametrize(
-        "G", [cyclic(7), cyclic(12), symmetric(4), dicyclic(3), alternating(5)],
+        "make",
+        [lambda: cyclic(7), lambda: cyclic(12), lambda: symmetric(4), lambda: dicyclic(3),
+         lambda: alternating(5)],
         ids=["C7", "C12", "S4", "Dic3", "A5"],
     )
-    def test_degree_divides_totient_of_exponent(self, G):
+    def test_degree_divides_totient_of_exponent(self, make):
+        G = make()
         n = exponent(G)
         assert len(residues_coprime(n)) % qg_degree(G) == 0
 
@@ -303,12 +331,13 @@ class TestLemma61Check:
         assert CHECKS["lemma61"](Analysis(symmetric(3))).status == PASS
 
     @pytest.mark.parametrize(
-        "G", [symmetric(4), dicyclic(3), alternating(4), sylnorm(3),
-              direct_product(symmetric(3), symmetric(3)), alternating(5)],
+        "make",
+        [lambda: symmetric(4), lambda: dicyclic(3), lambda: alternating(4), lambda: sylnorm(3),
+         lambda: direct_product(symmetric(3), symmetric(3)), lambda: alternating(5)],
         ids=["S4", "Dic3", "A4", "F6", "S3xS3", "A5"],
     )
-    def test_theorem_holds(self, G):
-        assert CHECKS["lemma61"](Analysis(G)).status == PASS
+    def test_theorem_holds(self, make):
+        assert CHECKS["lemma61"](Analysis(make())).status == PASS
 
 
     def test_members_of_one_class_differ_in_p(self):
@@ -510,9 +539,9 @@ def test_analysis_shows_a_huge_p_short(fact):
     assert a.facts == {}
 
 
-@pytest.mark.parametrize("G", [symmetric(4), cyclic(12)], ids=["S4", "C12"])
-def test_classification_does_no_power_work_after_the_table(G, monkeypatch):
-    analysis = Analysis(G)
+@pytest.mark.parametrize("make", [lambda: symmetric(4), lambda: cyclic(12)], ids=["S4", "C12"])
+def test_classification_does_no_power_work_after_the_table(make, monkeypatch):
+    analysis = Analysis(make())
     table = analysis.table
 
     def no_power(p, k):
@@ -572,12 +601,13 @@ class TestClassesPerGaloisOrbit:
         assert len(calls) == len({r.element_order for r in classes}) == 6
 
     @pytest.mark.parametrize(
-        "G",
-        [pytest.param(symmetric(8), id="S8"), pytest.param(alternating(8), id="A8")]
-        + [pytest.param(r.group, id=r.id) for r in parse_corpus(bundled_corpus_path())],
+        "make",
+        [pytest.param(lambda: symmetric(8), id="S8"),
+         pytest.param(lambda: alternating(8), id="A8")]
+        + [pytest.param(lambda i=i: bundled_groups()[i], id=i) for i in BUNDLED_IDS],
     )
-    def test_an_orbit_shares_one_verdict_and_reports_number_classes(self, G):
-        analysis = Analysis(G)
+    def test_an_orbit_shares_one_verdict_and_reports_number_classes(self, make):
+        analysis = Analysis(make())
         table, classes = analysis.table, analysis.classes
         orbits = {
             frozenset(row[k % o] for k in residues_coprime(o))

@@ -55,6 +55,10 @@ from cutgroups.constructions import (
 )
 
 
+# S8 and A8, just under the default cap; built by each test, not at import
+NEAR_CAP = [lambda: symmetric(8), lambda: alternating(8)]
+
+
 def bundled_group(record_id):
     record = next(r for r in parse_corpus(bundled_corpus_path()) if r.id == record_id)
     return record.group
@@ -253,10 +257,12 @@ class TestConjugacyClasses:
         assert len(brute_classes(dicyclic(2))) == 5
 
     @pytest.mark.parametrize(
-        "G", [symmetric(4), dicyclic(3), dihedral(6), alternating(5)],
+        "make",
+        [lambda: symmetric(4), lambda: dicyclic(3), lambda: dihedral(6), lambda: alternating(5)],
         ids=["S4", "Dic3", "D12", "A5"],
     )
-    def test_partition_matches_brute_force(self, G):
+    def test_partition_matches_brute_force(self, make):
+        G = make()
         T = conjugacy_classes(G)
         mine = set()
         members = [[] for _ in T.reps]
@@ -337,9 +343,9 @@ class TestIndexSweepAgainstTupleSweep:
         for r in records:
             self.assert_same_table(r.group)
 
-    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
-    def test_near_cap_groups(self, G):
-        self.assert_same_table(G)
+    @pytest.mark.parametrize("make", NEAR_CAP, ids=["S8", "A8"])
+    def test_near_cap_groups(self, make):
+        self.assert_same_table(make())
 
     def test_group_above_a_byte(self):
         # C5 x C5 on 300 points: words are image tuples, conjugated by
@@ -396,9 +402,9 @@ class TestPowerMapAgainstTupleWalk:
     """The power map walks words by ``bytes.translate``; the walk on image
     tuples it replaced, kept in tests/closure_oracle.py, is the oracle."""
 
-    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
-    def test_near_cap_groups(self, G):
-        T = conjugacy_classes(G)
+    @pytest.mark.parametrize("make", NEAR_CAP, ids=["S8", "A8"])
+    def test_near_cap_groups(self, make):
+        T = conjugacy_classes(make())
         assert (T.power_map, T.rep_orders) == tuple_power_map(T)
 
     def test_bundled_groups(self):
@@ -425,9 +431,9 @@ class TestPermutationsHoldTuples:
             made += p_core(G, p).generators
         return made
 
-    @pytest.mark.parametrize("G", [symmetric(8), alternating(8)], ids=["S8", "A8"])
-    def test_near_cap_groups(self, G):
-        assert all(type(x.images) is tuple for x in self.made_from_words(G))
+    @pytest.mark.parametrize("make", NEAR_CAP, ids=["S8", "A8"])
+    def test_near_cap_groups(self, make):
+        assert all(type(x.images) is tuple for x in self.made_from_words(make()))
 
     def test_bundled_groups(self):
         for record in parse_corpus(bundled_corpus_path()):
@@ -584,11 +590,13 @@ class TestSylow:
         with pytest.raises(BadParam):
             sylow(symmetric(4), 4)
 
-    @pytest.mark.parametrize("G,p", [
-        (symmetric(4), 2), (symmetric(4), 3), (symmetric(5), 2),
-        (dicyclic(3), 2), (dicyclic(6), 3), (alternating(5), 2), (alternating(5), 5),
+    @pytest.mark.parametrize("make,p", [
+        (lambda: symmetric(4), 2), (lambda: symmetric(4), 3), (lambda: symmetric(5), 2),
+        (lambda: dicyclic(3), 2), (lambda: dicyclic(6), 3), (lambda: alternating(5), 2),
+        (lambda: alternating(5), 5),
     ], ids=["S4p2", "S4p3", "S5p2", "Dic3p2", "Dic6p3", "A5p2", "A5p5"])
-    def test_order_is_exact_p_part(self, G, p):
+    def test_order_is_exact_p_part(self, make, p):
+        G = make()
         P = sylow(G, p)
         assert P.order() == p_part(G.order(), p)
         for x in P.elements():
@@ -791,8 +799,11 @@ class TestSolvable:
         assert not is_solvable(alternating(5))
         assert derived_subgroup(alternating(5)).order() == 60  # perfect
 
-    @pytest.mark.parametrize("G", [alternating(5), symmetric(5)], ids=["A5", "S5"])
-    def test_three_primes_take_the_derived_series(self, G, monkeypatch):
+    @pytest.mark.parametrize(
+        "make", [lambda: alternating(5), lambda: symmetric(5)], ids=["A5", "S5"]
+    )
+    def test_three_primes_take_the_derived_series(self, make, monkeypatch):
+        G = make()
         calls = counting_derived_subgroup(monkeypatch)
         assert not is_solvable(G)
         assert calls
@@ -804,11 +815,12 @@ class TestSolvable:
         assert is_solvable(sylnorm(7))
         assert calls
 
-    @pytest.mark.parametrize("G", [
-        trivial_group(3), cyclic(9), symmetric(4), sylnorm(5), heisenberg27(),
-        iterated_wreath(2, 3),
+    @pytest.mark.parametrize("make", [
+        lambda: trivial_group(3), lambda: cyclic(9), lambda: symmetric(4), lambda: sylnorm(5),
+        heisenberg27, lambda: iterated_wreath(2, 3),
     ], ids=["trivial", "C9", "S4", "sylnorm5", "heisenberg27", "C2wrC2wrC2"])
-    def test_two_primes_are_solvable_by_order(self, G, monkeypatch):
+    def test_two_primes_are_solvable_by_order(self, make, monkeypatch):
+        G = make()
         # Burnside's p^a q^b theorem: no derived subgroup is built
         calls = counting_derived_subgroup(monkeypatch)
         assert is_solvable(G)
@@ -837,9 +849,12 @@ class TestExponent:
     def test_q8(self):
         assert exponent(dicyclic(2)) == 4
 
-    @pytest.mark.parametrize("G", [symmetric(4), dicyclic(3), alternating(4)],
-                             ids=["S4", "Dic3", "A4"])
-    def test_exponent_is_minimal_global_exponent(self, G):
+    @pytest.mark.parametrize(
+        "make", [lambda: symmetric(4), lambda: dicyclic(3), lambda: alternating(4)],
+        ids=["S4", "Dic3", "A4"],
+    )
+    def test_exponent_is_minimal_global_exponent(self, make):
+        G = make()
         e = exponent(G)
         elems = G.elements()
         assert all((x ** e).is_identity() for x in elems)
